@@ -24,6 +24,8 @@ import argparse
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from .classify import hypothesis_classifier
 from .cnn import DatasetError, TrainConfig, load_model, save_model, train
 from .graph import build_region_graph
@@ -105,7 +107,6 @@ _CONFIG_KEYS = {
     "classifier": str,
     "model_path": str,
     "seed": int,
-    "threads": int,
     "dump_stages": lambda s: s.lower() in ("1", "true", "yes"),
     "preprocessed_in": str,
     "supervoxels_in": str,
@@ -132,6 +133,8 @@ def _read_scalar(path: str) -> ScalarVolume:
     vol = read_volume(path)
     if not isinstance(vol, ScalarVolume):
         raise CliError("data", 4, f"{path}: expected a scalar volume, found labels")
+    if not np.isfinite(vol.data).all():
+        raise CliError("data", 4, f"{path}: intensities must be finite (found NaN or inf)")
     return vol
 
 
@@ -168,8 +171,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
     with stage("config", 2):
         params = MergeParams(v_min=v_min, v_max=args.v_max_um3)
         sigma = _triple(args.sigma) if args.sigma else (1.0, 1.0, 1.0)
-    if args.threads is not None and args.threads < 1:
-        raise CliError("config", 2, "--threads must be >= 1")
 
     pre = sv = None
     if args.supervoxels_in and not args.preprocessed_in:
@@ -339,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model-path", help="trained model file for --classifier cnn")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker cap (outputs unaffected)")
     p.add_argument("--dump-stages", action="store_true", help="also write stage artifacts")
     p.add_argument("--preprocessed-in", help="resume from a preprocessed volume")
     p.add_argument("--supervoxels-in", help="resume from a supervoxel volume")

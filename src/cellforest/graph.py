@@ -79,10 +79,6 @@ class RegionGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return _edge_key(i, j) in self.edges
 
-    def boundary_mean(self, i: int, j: int) -> float:
-        """Mean intensity of the shared boundary between regions i and j."""
-        return self.edge(i, j).mean_intensity()
-
     def neighbors(self, i: int) -> set[int]:
         return self.adj[i]
 

@@ -173,9 +173,6 @@ class MergeForest:
         out.sort()
         return out
 
-    def children_of(self, node_id: int) -> tuple[int, int] | None:
-        return self.nodes[node_id].children
-
 
 MergeObserver = Callable[[RegionGraph, "MergeForest", int], None]
 

@@ -238,6 +238,8 @@ def normalize(v: ScalarVolume) -> ScalarVolume:
     Constant volumes map to all zeros. Idempotent on its own output.
     """
     data = v.data.astype(np.float64)
+    if not np.isfinite(data).all():
+        raise ValueError("normalize requires finite intensities")
     lo = data.min()
     hi = data.max()
     if hi > lo:

@@ -86,16 +86,13 @@ def find_local_minima(v: ScalarVolume) -> MinimaSet:
     remap[keep] = np.arange(1, len(keep) + 1, dtype=np.int32)
     seed_labels = remap[comp_labels]
 
-    values = np.empty(len(keep), dtype=np.float64)
     flat = a.ravel()
     seeds_flat = seed_labels.ravel()
     first = np.full(len(keep) + 1, -1, dtype=np.int64)
     nz_idx = np.flatnonzero(seeds_flat)
     # reversed scan keeps the first occurrence per component
     first[seeds_flat[nz_idx[::-1]]] = nz_idx[::-1]
-    for comp in range(1, len(keep) + 1):
-        values[comp - 1] = flat[first[comp]]
-    return MinimaSet(seed_labels, values)
+    return MinimaSet(seed_labels, flat[first[1:]])
 
 
 def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
@@ -107,55 +104,63 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     fixed: seed voxels in x-fastest scan order, then per popped voxel its
     unlabeled neighbors in x-, x+, y-, y+, z-, z+ order, which makes the
     result deterministic.
+
+    A voxel is labelled at its first push and never queued twice. That
+    equals labelling it at its first pop: every entry for a voxel has its
+    intensity, so its first push has the smallest counter and pops first.
+    An entry is one int, ``rank << 2B | counter << B | index``: ``rank``
+    orders the intensities (``np.unique``, exact for finite values; others
+    raise ``ValueError``), ``index`` is the voxel in the padded grid and
+    ``B`` is the bit length of the padded size.
     """
     if len(seeds) == 0:
         raise ValueError("seeded_watershed requires at least one seed component")
     a = np.asarray(v.data, dtype=np.float64)
     if a.shape != seeds.seed_labels.shape:
         raise ValueError("seed array shape does not match volume")
+    if not np.isfinite(a).all():
+        raise ValueError("seeded_watershed requires finite intensities")
     nz, ny, nx = a.shape
 
     # Pad with a sentinel ring so neighbor indexing never needs bounds
-    # checks: border labels are -1 (never floodable), border values +inf.
-    ap = np.pad(a, 1, mode="constant", constant_values=np.inf)
-    lp = np.pad(seeds.seed_labels.astype(np.int64), 1, mode="constant", constant_values=-1)
-    pnx = nx + 2
-    pny = ny + 2
+    # checks: border labels are -1, so border voxels are never queued.
+    rank = np.pad(np.unique(a, return_inverse=True)[1].reshape(a.shape), 1)
+    lp = np.pad(seeds.seed_labels.astype(np.int32), 1, mode="constant", constant_values=-1)
+    pnx, pny = nx + 2, ny + 2
     steps = (-1, 1, -pnx, pnx, -pnx * pny, pnx * pny)
-
-    values = ap.ravel().tolist()
+    bits = lp.size.bit_length()
+    mask = (1 << bits) - 1
+    # rank and index of every voxel; a push ORs in the counter
+    base = [r << 2 * bits | i for i, r in enumerate(rank.ravel().tolist())]
     labels = lp.ravel().tolist()
 
-    heap: list[tuple[float, int, int, int]] = []
+    heap: list[int] = []
     counter = 0
-    seed_flat = np.flatnonzero(seeds.seed_labels.ravel())
-    z, rem = np.divmod(seed_flat, nx * ny)
-    y, x = np.divmod(rem, nx)
-    padded = ((z + 1) * pny + (y + 1)) * pnx + (x + 1)
-    seed_ids = seeds.seed_labels.ravel()[seed_flat]
-    for idx, lab in zip(padded.tolist(), seed_ids.tolist()):
+    # padding keeps the x-fastest scan order of the seed voxels
+    for idx in np.flatnonzero(lp.ravel() > 0).tolist():
+        lab = labels[idx]
         for step in steps:
             n = idx + step
             if labels[n] == 0:
-                heap.append((values[n], counter, n, lab))
+                labels[n] = lab
+                heap.append(base[n] | counter << bits)
                 counter += 1
     heapq.heapify(heap)
 
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
-        _, _, idx, lab = pop(heap)
-        if labels[idx] != 0:
-            continue
-        labels[idx] = lab
+        idx = pop(heap) & mask
+        lab = labels[idx]
         for step in steps:
             n = idx + step
             if labels[n] == 0:
-                push(heap, (values[n], counter, n, lab))
+                labels[n] = lab
+                push(heap, base[n] | counter << bits)
                 counter += 1
 
-    out = np.array(labels, dtype=np.int64).reshape(nz + 2, ny + 2, nx + 2)[1:-1, 1:-1, 1:-1]
-    return LabelVolume(out.astype(np.int32), v.spacing)
+    out = np.array(labels, dtype=np.int32).reshape(nz + 2, ny + 2, nx + 2)[1:-1, 1:-1, 1:-1]
+    return LabelVolume(out.copy(), v.spacing)
 
 
 def compact_labels(lv: LabelVolume) -> LabelVolume:

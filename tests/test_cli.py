@@ -5,7 +5,7 @@ import pytest
 
 from cellforest.cli import load_config, main
 from cellforest.metrics import match_segments
-from cellforest.volume import read_volume
+from cellforest.volume import ScalarVolume, read_volume, write_volume
 
 
 def run(capsys, *argv):
@@ -419,6 +419,26 @@ def test_supervoxel_labels_passed_as_scalar_is_data_error(phantom, tmp_path, cap
     )
     assert rc == 4
     assert "[stage data]" in err
+
+
+@pytest.mark.parametrize(
+    "flag,bad", [("input", np.nan), ("--preprocessed-in", np.inf)]
+)
+def test_non_finite_intensity_is_data_error(phantom, tmp_path, capsys, flag, bad):
+    # one non-finite voxel has no rank in the flood order; it must not
+    # silently collapse the volume into a single segment
+    v = read_volume(f"{phantom}.image.mvol.json")
+    data = v.data.astype(np.float32)
+    data[3, 4, 5] = bad
+    path = write_volume(ScalarVolume(data, v.spacing), str(tmp_path / "bad.mvol.json"))
+    source = [path] if flag == "input" else [flag, path]
+    rc, _, err = run(
+        capsys, "segment", *source, "--output-prefix", str(tmp_path / "out"), *SEG_FLAGS
+    )
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+    assert "finite" in err
+    assert not (tmp_path / "out.labels.mvol.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,14 @@ def test_normalize_identity_when_already_unit_range():
     np.testing.assert_array_equal(out.data, data)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_rejects_non_finite(bad):
+    data = np.zeros((2, 2, 2), dtype=np.float32)
+    data[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        normalize(ScalarVolume(data))
+
+
 def test_normalize_idempotent():
     rng = np.random.default_rng(0)
     v = ScalarVolume(rng.random((4, 4, 4)) * 900 + 50)

@@ -1,6 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from cellforest.phantom import PhantomParams, generate_phantom
+from cellforest.preprocess import preprocess
 from cellforest.volume import LabelVolume, ScalarVolume
 from cellforest.watershed import (
     MinimaSet,
@@ -139,6 +146,52 @@ def test_watershed_matches_flood_reference_distinct_values(seed):
     np.testing.assert_array_equal(
         seeded_watershed(v, m).labels, flood_reference(data, m.seed_labels)
     )
+
+
+@st.composite
+def leveled_volumes(draw):
+    """Volumes up to 6^3 (singleton axes allowed) on 2-6 intensity levels."""
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    top = draw(st.integers(1, 5))
+    levels = draw(arrays(np.int8, shape, elements=st.integers(0, top)))
+    return levels.astype(np.float64) / top
+
+
+@settings(max_examples=300, deadline=None)
+@given(leveled_volumes())
+def test_watershed_matches_flood_reference_property(data):
+    v = as_volume(data)
+    m = find_local_minima(v)
+    np.testing.assert_array_equal(
+        seeded_watershed(v, m).labels, flood_reference(data, m.seed_labels)
+    )
+
+
+def test_watershed_labels_pinned_on_preprocessed_phantom():
+    # A 48^3 phantom has tens of thousands of tied voxels, far beyond the
+    # reach of the quadratic reference; the digest was recorded with the
+    # earlier flood that queued (value, counter, voxel, label) tuples and
+    # labelled each voxel at its first pop.
+    img, _ = generate_phantom(
+        PhantomParams(
+            dims=(48, 48, 48), n_cells=12, membrane_width=1,
+            noise_sigma=0.05, blur_sigma=0.6, seed=11,
+        )
+    )
+    pre = preprocess(img)
+    labels = seeded_watershed(pre, find_local_minima(pre)).labels
+    assert labels.dtype == np.int32 and labels.flags.c_contiguous
+    digest = hashlib.sha256(labels.astype("<i4").tobytes()).hexdigest()
+    assert digest == "4582f83fd335bf72b9b0afc3a75fbdcc4c6760ae8d07ee90305c0b341600651f"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_watershed_rejects_non_finite(bad):
+    data = np.array([3, 1, 3, 2, 3], dtype=float).reshape(1, 1, 5)
+    m = find_local_minima(as_volume(data))
+    data[0, 0, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        seeded_watershed(as_volume(data), m)
 
 
 def test_compact_labels_scan_order():
