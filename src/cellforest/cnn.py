@@ -28,6 +28,7 @@ PARAM_ORDER = (
     "out_w",
     "out_b",
 )
+ADAM_BLOCK = 1 << 16  # elements per adam_step block: 512 KiB of float64
 
 
 class DatasetError(ValueError):
@@ -69,12 +70,14 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n, d, h, wd, c_out)
 
 
-def conv3d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
+def conv3d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True):
     """Gradients of :func:`conv3d_forward` w.r.t. input, weights and bias.
 
     Works offset-by-offset over the whole batch: the accumulated matmuls
     see long inner dimensions, and no k^3-redundant patch matrix is ever
-    materialized for the gradient pass.
+    materialized for the gradient pass. With ``input_grad`` off (the first
+    layer, whose input is the data) the input gradient is skipped and
+    returned as None.
     """
     n, d, h, wd, c_in = x.shape
     k = w.shape[0]
@@ -82,16 +85,17 @@ def conv3d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
     xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
     dy2 = dy.reshape(-1, w.shape[4])
     dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if input_grad else None
     for dz in range(k):
         for dd in range(k):
             for dx_ in range(k):
                 sl = (slice(None), slice(dz, dz + d), slice(dd, dd + h), slice(dx_, dx_ + wd))
                 xs = xp[sl].reshape(-1, c_in)
                 dw[dz, dd, dx_] = xs.T @ dy2
-                dxp[sl] += (dy2 @ w[dz, dd, dx_].T).reshape(n, d, h, wd, c_in)
+                if input_grad:
+                    dxp[sl] += (dy2 @ w[dz, dd, dx_].T).reshape(n, d, h, wd, c_in)
     db = dy2.sum(axis=0)
-    dx = dxp[:, p : p + d, p : p + h, p : p + wd, :]
+    dx = dxp[:, p : p + d, p : p + h, p : p + wd, :] if input_grad else None
     return dx, dw, db
 
 
@@ -265,7 +269,7 @@ def backward(model: CnnModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarra
     dm1, grads["conv2_w"], grads["conv2_b"] = conv3d_backward(m1, p["conv2_w"], da2)
     dr1 = maxpool3d_backward(dm1, idx1, r1.shape)
     da1 = dr1 * (a1 > 0)
-    _, grads["conv1_w"], grads["conv1_b"] = conv3d_backward(x, p["conv1_w"], da1)
+    _, grads["conv1_w"], grads["conv1_b"] = conv3d_backward(x, p["conv1_w"], da1, input_grad=False)
     return grads
 
 
@@ -326,21 +330,34 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place ADAM update with bias correction."""
-    if not state.m:
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
+    """One in-place ADAM update with bias correction, rounded exactly as
+    ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``.
+
+    Each tensor is updated in blocks of leading-axis rows of about
+    ``ADAM_BLOCK`` elements through two block-sized scratch arrays, so the
+    intermediates stay in cache and the 268 MB ``fc1_w`` with its moments
+    crosses memory once per step instead of once per arithmetic operation.
+    """
     state.t += 1
     b1t = 1.0 - beta1**state.t
     b2t = 1.0 - beta2**state.t
-    for name in params:
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[name] / b1t
-        v_hat = state.v[name] / b2t
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    for name, p in params.items():
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        p, g, m, v = (np.atleast_1d(a) for a in (p, grads[name], state.m[name], state.v[name]))
+        rows = max(1, ADAM_BLOCK * len(p) // max(p.size, 1))
+        step_buf, denom_buf = np.empty_like(p[:rows]), np.empty_like(p[:rows])
+        for lo in range(0, len(p), rows):
+            pb, gb, mb, vb = (a[lo : lo + rows] for a in (p, g, m, v))
+            step, denom = step_buf[: len(pb)], denom_buf[: len(pb)]
+            mb *= beta1
+            mb += np.multiply(gb, 1.0 - beta1, out=step)
+            vb *= beta2
+            vb += np.multiply(np.multiply(gb, gb, out=step), 1.0 - beta2, out=step)
+            np.sqrt(np.divide(vb, b2t, out=denom), out=denom)
+            denom += eps
+            np.multiply(np.divide(mb, b1t, out=step), lr, out=step)
+            pb -= np.divide(step, denom, out=step)
 
 
 def mean_cross_entropy(model: CnnModel, x: np.ndarray, classes: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from cellforest.cnn import (
     TrainConfig,
     adam_step,
     backward,
+    conv3d_backward,
     conv3d_forward,
     cross_entropy,
     expected_shapes,
@@ -213,6 +214,18 @@ def test_gradients_match_finite_differences_every_layer():
         assert err < 1e-4, f"{name}: relative error {err}"
 
 
+def test_conv_backward_without_input_grad_keeps_weight_grads():
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((2, 5, 4, 6, 2))
+    w = rng.standard_normal((3, 3, 3, 2, 4))
+    dy = rng.standard_normal((2, 5, 4, 6, 4))
+    dx, dw, db = conv3d_backward(x, w, dy)
+    none, dw_only, db_only = conv3d_backward(x, w, dy, input_grad=False)
+    assert dx.shape == x.shape and none is None
+    np.testing.assert_array_equal(dw_only, dw)
+    np.testing.assert_array_equal(db_only, db)
+
+
 def test_gradients_with_dropout_mask_applied():
     model = small_model(seed=13)
     rng = np.random.default_rng(14)
@@ -271,6 +284,31 @@ def test_adam_matches_independent_replay():
             shadow[k] -= lr * (m[k] / (1 - b1**t)) / (np.sqrt(v[k] / (1 - b2**t)) + eps)
     for k in shadow:
         np.testing.assert_array_equal(params[k], shadow[k])
+
+
+@pytest.mark.parametrize("block", [1, 6, 1 << 16])
+def test_adam_blocks_match_whole_tensor_update(monkeypatch, block):
+    # 6 elements per block is two rows of "a" (the last block a single row)
+    # and one row of "w"; a 0-d and an empty tensor ride along
+    monkeypatch.setattr("cellforest.cnn.ADAM_BLOCK", block)
+    rng = np.random.default_rng(17)
+    shapes = {"a": (5, 3), "w": (3, 2, 4), "b": (7,), "s": (), "e": (0, 2)}
+    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    shadow = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = AdamState()
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3) for k, s in shapes.items()}
+        adam_step(params, grads, state, 0.01)
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k] + (1 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1 - 0.999) * (g * g)
+            shadow[k] -= 0.01 * (m[k] / (1 - 0.9**t)) / (np.sqrt(v[k] / (1 - 0.999**t)) + 1e-8)
+    for k in shapes:
+        assert params[k].shape == shapes[k]
+        np.testing.assert_array_equal(params[k], shadow[k])
+        np.testing.assert_array_equal(state.m[k], m[k])
 
 
 # ---------------------------------------------------------------------------
