@@ -76,31 +76,40 @@ class Patch:
 
 
 def crop_patch(
-    data: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int = PATCH_SIZE, margin: int = 2
+    data: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int = PATCH_SIZE, margin: int = 2,
+    keep: Callable[[tuple], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Render the box [lo, hi] (inclusive, (z, y, x) order) as a size^3 patch.
 
     The box is first expanded by ``margin`` on every side. If the result
     fits, it is centered and out-of-volume voxels replicate the nearest
     edge; otherwise it is resampled to size^3 with trilinear
-    interpolation at pixel-center-aligned coordinates.
+    interpolation at pixel-center-aligned coordinates. ``keep`` maps the
+    window of ``data`` the rendering reads (a tuple of slices) to a mask
+    of it; rejected voxels read as zeros.
     """
     lo_e = np.asarray(lo, dtype=np.int64) - margin
     hi_e = np.asarray(hi, dtype=np.int64) + margin
     span = hi_e - lo_e + 1
     shape = np.array(data.shape)
-    if np.all(span <= size):
+    fits = np.all(span <= size)
+    if fits:
         starts = lo_e - (size - span) // 2
-        idx = [
-            np.clip(starts[a] + np.arange(size), 0, shape[a] - 1) for a in range(3)
-        ]
-        return data[np.ix_(idx[0], idx[1], idx[2])]
+        w0, w1 = np.clip(starts, 0, shape - 1), np.clip(starts + size - 1, 0, shape - 1)
+    else:  # the trilinear taps stay within one voxel of the expanded box
+        w0, w1 = np.maximum(lo_e - 1, 0), np.minimum(hi_e + 1, shape - 1)
+    window = tuple(slice(a, b + 1) for a, b in zip(w0, w1))
+    local = data[window] if keep is None else np.where(keep(window), data[window], 0.0)
+    if fits:
+        idx = [np.clip(starts[a] + np.arange(size), 0, shape[a] - 1) - w0[a] for a in range(3)]
+        return local[np.ix_(*idx)]
     coords = [
         lo_e[a] + (np.arange(size) + 0.5) * span[a] / size - 0.5 for a in range(3)
     ]
     zz, yy, xx = np.meshgrid(*coords, indexing="ij")
     flat = ndi.map_coordinates(
-        data, np.stack([zz.ravel(), yy.ravel(), xx.ravel()]), order=1, mode="nearest"
+        local, np.stack([zz.ravel(), yy.ravel(), xx.ravel()]) - w0[:, None], order=1,
+        mode="nearest",
     )
     return flat.reshape(size, size, size)
 
@@ -112,20 +121,24 @@ def extract_patch(
     supervoxels: LabelVolume,
     mask_background: bool = False,
     volume_id: str = "",
+    boxes: list | None = None,
 ) -> Patch:
     """Patch for one forest node, cropped around its voxels.
 
     With ``mask_background`` the intensities outside the node's own
     voxels are zeroed before cropping; by default the raw surrounding
-    context is kept.
+    context is kept. The node's box is the union of its leaves' boxes,
+    ``boxes = ndi.find_objects(supervoxels.labels)`` (computed when None).
     """
-    leaves = np.array(forest.leaves_under(node_id))
-    member = np.isin(supervoxels.labels, leaves)
-    coords = np.argwhere(member)
-    if len(coords) == 0:
+    leaves = forest.leaves_under(node_id)
+    boxes = ndi.find_objects(supervoxels.labels) if boxes is None else boxes
+    found = [boxes[i - 1] for i in leaves if 0 < i <= len(boxes) and boxes[i - 1]]
+    if not found:
         raise ValueError(f"forest node {node_id} covers no voxels")
-    data = np.where(member, v.data, 0.0) if mask_background else v.data
-    patch = crop_patch(data, coords.min(axis=0), coords.max(axis=0))
+    lo = np.min([[s.start for s in box] for box in found], axis=0)
+    hi = np.max([[s.stop for s in box] for box in found], axis=0) - 1
+    keep = (lambda w: np.isin(supervoxels.labels[w], leaves)) if mask_background else None
+    patch = crop_patch(v.data, lo, hi, keep=keep)
     return Patch(np.ascontiguousarray(patch), node_id, volume_id)
 
 
@@ -191,10 +204,11 @@ def hypothesis_classifier(
     outside the node (flat cells cut diagonally by the tessellation).
     Pass ``mask_background`` explicitly to override.
     """
+    boxes = ndi.find_objects(supervoxels.labels)
 
     def classify(node_id: int) -> ClassProbs:
         masked = model is None if mask_background is None else mask_background
-        patch = extract_patch(v, forest, node_id, supervoxels, mask_background=masked)
+        patch = extract_patch(v, forest, node_id, supervoxels, mask_background=masked, boxes=boxes)
         if model is not None:
             return cnn_probs(model, patch.data)
         if merge_params is not None:

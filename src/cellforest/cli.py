@@ -211,6 +211,13 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if args.forest_in:
         with stage("io", 3):
             forest = load_forest(args.forest_in)
+        leaf_counts = [forest.nodes[i].voxel_count for i in range(1, forest.n_leaves + 1)]
+        if sv.labels.max() > forest.n_leaves or not np.array_equal(
+            np.bincount(sv.labels.ravel())[1:], leaf_counts
+        ):
+            raise CliError(
+                "data", 4, f"{args.forest_in}: leaf voxel counts disagree with the supervoxels"
+            )
     else:
         with stage("merge"):
             graph = build_region_graph(sv, pre)

@@ -29,6 +29,7 @@ PARAM_ORDER = (
     "out_b",
 )
 ADAM_BLOCK = 1 << 16  # elements per adam_step block: 512 KiB of float64
+CONV_BLOCK = 2 << 20  # bytes of im2col rows per conv3d_forward block: about one L2 cache
 
 
 class DatasetError(ValueError):
@@ -39,35 +40,33 @@ class DatasetError(ValueError):
 # layer primitives (channels-last: (batch, z, y, x, channels))
 
 
-def _im2col(xp: np.ndarray, d: int, h: int, wd: int, k: int) -> np.ndarray:
-    """Patch matrix of one padded sample: (d*h*wd, k^3 * c_in).
-
-    Row order is output-voxel scan order; column order is (dz, dy, dx,
-    c_in), matching a C-order flattening of the kernel tensor.
-    """
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(0, 1, 2))
-    return win.transpose(0, 1, 2, 4, 5, 6, 3).reshape(d * h * wd, -1)
-
-
 def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stride-1 3D convolution with zero 'same' padding.
 
     ``x`` is (n, d, h, wd, c_in), ``w`` is (k, k, k, c_in, c_out). The
-    kernel is applied as a correlation. Each sample is lowered to a patch
-    matrix and convolved as a single matmul; per-sample lowering keeps
-    peak memory at one patch matrix instead of the whole batch.
+    kernel is applied as a correlation. Each sample is lowered to patch
+    matrix rows (columns (dz, dy, dx, c_in)) a block of whole z-slices at
+    a time, at most ``CONV_BLOCK`` bytes unless one slice is larger, in one
+    reused buffer; each block is multiplied into the output. The dot
+    products, and so the rounding, are those of one whole-matrix product.
     """
     n, d, h, wd, c_in = x.shape
     k = w.shape[0]
     c_out = w.shape[4]
     p = k // 2
     xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
     wm = w.reshape(-1, c_out)
-    out = np.empty((n, d * h * wd, c_out), dtype=np.float64)
+    zs = max(1, min(d, CONV_BLOCK // (h * wd * len(wm) * 8)))
+    buf = np.empty((zs, h, wd, k, k, k, c_in), dtype=np.float64)
+    out = np.empty((n, d, h, wd, c_out), dtype=np.float64)
     for i in range(n):
-        out[i] = _im2col(xp[i], d, h, wd, k) @ wm
+        for z in range(0, d, zs):
+            rows = buf[: min(zs, d - z)]
+            np.copyto(rows, win[i, z : z + zs].transpose(0, 1, 2, 4, 5, 6, 3))
+            np.matmul(rows.reshape(-1, len(wm)), wm, out=out[i, z : z + zs].reshape(-1, c_out))
     out += b
-    return out.reshape(n, d, h, wd, c_out)
+    return out
 
 
 def conv3d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True):
@@ -100,12 +99,19 @@ def conv3d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bo
 
 
 def maxpool3d_forward(x: np.ndarray):
-    """2x2x2 max pooling with stride 2; ties route to the first position."""
-    n, d, h, w, c = x.shape
-    xr = x.reshape(n, d // 2, 2, h // 2, 2, w // 2, 2, c)
-    xt = xr.transpose(0, 1, 3, 5, 7, 2, 4, 6).reshape(n, d // 2, h // 2, w // 2, c, 8)
-    idx = xt.argmax(axis=-1)
-    y = np.take_along_axis(xt, idx[..., None], axis=-1)[..., 0]
+    """2x2x2 max pooling with stride 2; ties (+-0 included) route to the first position.
+
+    Walks the 8 strided sub-views in window order, taking a later value
+    only where strictly greater by a wrapping int64 select on the float64
+    bits: on NaN-free input, values and indices equal a per-window argmax.
+    """
+    views = [x[:, a::2, b::2, c::2] for a, b, c in np.ndindex(2, 2, 2)]
+    y, idx = views[0].copy(), np.zeros(views[0].shape, dtype=np.intp)
+    bits, greater, step = y.view(np.int64), np.empty(y.shape, bool), np.empty_like(idx)
+    for pos, v in enumerate(views[1:], 1):
+        np.greater(v, y, out=greater)
+        bits += np.multiply(np.subtract(v.view(np.int64), bits, out=step), greater, out=step)
+        np.maximum(idx, np.multiply(greater, pos, out=step), out=idx)
     return y, idx
 
 
@@ -438,23 +444,26 @@ def save_model(model: CnnModel, path: str) -> None:
 
 
 def load_model(path: str) -> CnnModel:
+    """Read a model file, each tensor straight into its own array."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != "cellforest-cnn v1":
-        raise ValueError(f"{path}: not a cellforest model file")
-    params = {}
-    offset = 0
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) * 8
-        params[entry["name"]] = (
-            np.frombuffer(payload[offset : offset + size], dtype="<f8").reshape(shape).copy()
-        )
-        offset += size
-    if offset != len(payload):
-        raise ValueError(f"{path}: payload length mismatch")
+        header = json.loads(fh.readline().decode("utf-8"))
+        if header.get("format") != "cellforest-cnn v1":
+            raise ValueError(f"{path}: not a cellforest model file")
+        names = [entry["name"] for entry in header["params"]]
+        for name in dict.fromkeys([*names, *PARAM_ORDER]):
+            if name not in PARAM_ORDER:
+                raise ValueError(f"{path}: unknown parameter {name!r} in header")
+            if names.count(name) != 1:
+                raise ValueError(
+                    f"{path}: header lists parameter {name!r} {names.count(name)} times, not once"
+                )
+        params = {}
+        for entry in header["params"]:
+            arr = params[entry["name"]] = np.empty(tuple(entry["shape"]), dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: payload length mismatch")
+        if fh.read(1):
+            raise ValueError(f"{path}: payload length mismatch")
     return CnnModel(
         header["input_size"],
         tuple(header["conv_channels"]),

@@ -276,17 +276,28 @@ def save_forest(forest: MergeForest, path: str) -> None:
 
 
 def load_forest(path: str) -> MergeForest:
+    """Read a forest file, rejecting one that does not describe a forest
+    over leaves 1..K: a node count that disagrees with the node lines
+    (e.g. a truncated file), leaf ids other than 1..K, children that are
+    unknown, shared with another node or not older than their parent, or
+    a node voxel count that is not the sum of its children's."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("# cellforest merge-forest"):
         raise ValueError(f"{path}: not a merge-forest file")
-    head = lines[1].split()
+    head = lines[1].split() if len(lines) > 1 else []
     if len(head) != 4 or head[0] != "nodes" or head[2] != "leaves":
-        raise ValueError(f"{path}: malformed count line {lines[1]!r}")
+        raise ValueError(f"{path}: malformed count line {' '.join(head)!r}")
     n_nodes = int(head[1])
     n_leaves = int(head[3])
+    body = lines[2 : lines.index("leaf_map")] if "leaf_map" in lines else lines[2:]
+    if len(body) != n_nodes or len(lines) != 3 + n_nodes + n_leaves:
+        raise ValueError(
+            f"{path}: header says {n_nodes} nodes and {n_leaves} leaves, file has "
+            f"{len(body)} node lines and {len(lines) - 3 - len(body)} leaf_map lines"
+        )
     forest = MergeForest(n_leaves)
-    for ln in lines[2 : 2 + n_nodes]:
+    for ln in body:
         fields = ln.split(",")
         node_id = int(fields[0])
         count = int(fields[3])
@@ -297,9 +308,18 @@ def load_forest(path: str) -> MergeForest:
             forest.add_merge(
                 node_id, int(fields[1]), int(fields[2]), count, volume, float(fields[5])
             )
+    leaves = sorted(n.id for n in forest.nodes.values() if n.is_leaf)
+    if len(forest.nodes) != n_nodes or leaves != list(range(1, n_leaves + 1)):
+        raise ValueError(f"{path}: node ids are not unique or leaf ids are not 1..{n_leaves}")
     has_parent = set()
     for n in forest.nodes.values():
         if n.children:
+            a, b = n.children
+            known = {a, b} <= forest.nodes.keys()
+            if a == b or max(a, b) >= n.id or {a, b} & has_parent or not known:
+                raise ValueError(f"{path}: node {n.id} has unknown or reused children {(a, b)}")
+            if n.voxel_count != sum(forest.nodes[c].voxel_count for c in n.children):
+                raise ValueError(f"{path}: node {n.id} voxel count is not its children's sum")
             has_parent.update(n.children)
     forest.roots = sorted(set(forest.nodes) - has_parent)
     return forest

@@ -2,12 +2,16 @@
 
 Everything here trades speed for obviousness: plain loops, no shared
 code with the package, so the fast implementations can be checked
-against independently derived answers on small inputs.
+against independently derived answers on small inputs. A few are the
+earlier whole-array formulations (full im2col matrix, transposed argmax
+pooling, whole-volume patch extraction) that the blocked and
+box-bounded production code must reproduce bit for bit.
 """
 
 import itertools
 
 import numpy as np
+from scipy import ndimage as ndi
 
 FACE_STEPS = ((0, 0, -1), (0, 0, 1), (0, -1, 0), (0, 1, 0), (-1, 0, 0), (1, 0, 0))
 
@@ -241,6 +245,63 @@ def maxpool_reference(x):
                         x[2 * z : 2 * z + 2, 2 * y : 2 * y + 2, 2 * xx : 2 * xx + 2, ch]
                     )
     return out
+
+
+def conv3d_im2col_reference(x, w, b):
+    """Batched 'same' 3D convolution as one whole patch-matrix matmul per
+    sample (the k^3-redundant im2col matrix built at full size).
+
+    ``x`` is (n, d, h, w_, c_in); rows of the patch matrix are output
+    voxels in scan order, columns (dz, dy, dx, c_in). Blocked production
+    code must reproduce this bit for bit.
+    """
+    n, d, h, ww, c_in = x.shape
+    k = w.shape[0]
+    c_out = w.shape[4]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+    wm = w.reshape(-1, c_out)
+    out = np.empty((n, d * h * ww, c_out), dtype=np.float64)
+    for i in range(n):
+        win = np.lib.stride_tricks.sliding_window_view(xp[i], (k, k, k), axis=(0, 1, 2))
+        out[i] = win.transpose(0, 1, 2, 4, 5, 6, 3).reshape(d * h * ww, -1) @ wm
+    out += b
+    return out.reshape(n, d, h, ww, c_out)
+
+
+def maxpool_argmax_reference(x):
+    """2x2x2 stride-2 max pooling on (n, d, h, w, c) via a transposed copy
+    and ``argmax``: the value and the index (dz * 4 + dy * 2 + dx) of the
+    first maximum of every window."""
+    n, d, h, w, c = x.shape
+    xr = x.reshape(n, d // 2, 2, h // 2, 2, w // 2, 2, c)
+    xt = xr.transpose(0, 1, 3, 5, 7, 2, 4, 6).reshape(n, d // 2, h // 2, w // 2, c, 8)
+    idx = xt.argmax(axis=-1)
+    return np.take_along_axis(xt, idx[..., None], axis=-1)[..., 0], idx
+
+
+def node_patch_reference(data, labels, leaves, mask_background, size=32, margin=2):
+    """A node's patch from whole-volume membership: bounding box of every
+    voxel labelled with one of ``leaves``, the whole volume masked when
+    asked, then centered with edge replication or trilinearly resampled
+    (pixel-center aligned, nearest-edge extension)."""
+    member = np.isin(labels, leaves)
+    coords = np.argwhere(member)
+    if mask_background:
+        data = np.where(member, data, 0.0)
+    lo_e = coords.min(axis=0) - margin
+    hi_e = coords.max(axis=0) + margin
+    span = hi_e - lo_e + 1
+    if np.all(span <= size):
+        starts = lo_e - (size - span) // 2
+        idx = [np.clip(starts[a] + np.arange(size), 0, data.shape[a] - 1) for a in range(3)]
+        return data[np.ix_(idx[0], idx[1], idx[2])]
+    axes = [lo_e[a] + (np.arange(size) + 0.5) * span[a] / size - 0.5 for a in range(3)]
+    zz, yy, xx = np.meshgrid(*axes, indexing="ij")
+    flat = ndi.map_coordinates(
+        data, np.stack([zz.ravel(), yy.ravel(), xx.ravel()]), order=1, mode="nearest"
+    )
+    return flat.reshape(size, size, size)
 
 
 def finite_difference_grad(f, param, eps=1e-5):

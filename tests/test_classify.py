@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage as ndi
 
 from cellforest.classify import (
     CLASS_NAMES,
@@ -16,6 +19,8 @@ from cellforest.classify import (
 from cellforest.cnn import init_model
 from cellforest.merging import MergeForest, MergeParams
 from cellforest.volume import LabelVolume, ScalarVolume
+
+from oracles import node_patch_reference
 
 
 def test_class_names_order():
@@ -147,6 +152,50 @@ def test_extract_patch_missing_node_coverage():
     forest.roots = [1, 2, 3]
     with pytest.raises(ValueError):
         extract_patch(v, forest, 3, sv)
+
+
+@st.composite
+def random_forests(draw):
+    """A blocky label volume with labels 1..n, a random merge-forest over
+    them and float32 or float64 intensities. One axis reaches 40 voxels,
+    so large nodes take the resampling path as well as the centered one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = [draw(st.integers(1, 40)), draw(st.integers(1, 9)), draw(st.integers(1, 9))]
+    shape = tuple(rng.permutation(shape))
+    cell = [draw(st.integers(1, 12)) for _ in range(3)]
+    n_labels = draw(st.integers(1, 12))
+    coarse = rng.integers(0, n_labels, size=[-(-s // c) for s, c in zip(shape, cell)])
+    for axis, c in enumerate(cell):
+        coarse = np.repeat(coarse, c, axis=axis)
+    labels = coarse[: shape[0], : shape[1], : shape[2]]
+    labels = (np.unique(labels, return_inverse=True)[1].reshape(shape) + 1).astype(np.uint32)
+    n = int(labels.max())
+    forest = MergeForest(n)
+    for leaf in range(1, n + 1):
+        forest.add_leaf(leaf, 1, 1.0)
+    roots = list(range(1, n + 1))
+    for new_id in range(n + 1, n + 1 + draw(st.integers(0, n - 1))):
+        a, b = (roots.pop(int(rng.integers(len(roots)))) for _ in range(2))
+        forest.add_merge(new_id, a, b, 2, 2.0, 0.5)
+        roots.append(new_id)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    data = rng.random(shape).astype(dtype)
+    return ScalarVolume(data), LabelVolume(labels), forest
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_forests(), st.booleans())
+def test_box_bounded_extract_patch_equals_whole_volume_extraction(case, masked):
+    v, sv, forest = case
+    boxes = ndi.find_objects(sv.labels)
+    for node_id in sorted(forest.nodes):
+        got = extract_patch(v, forest, node_id, sv, mask_background=masked, boxes=boxes)
+        ref = node_patch_reference(v.data, sv.labels, forest.leaves_under(node_id), masked)
+        assert np.array_equal(got.data.view(np.int64), ref.astype(np.float64).view(np.int64))
+    # without precomputed boxes the result is the same
+    last = max(forest.nodes)
+    again = extract_patch(v, forest, last, sv, mask_background=masked)
+    assert np.array_equal(again.data, extract_patch(v, forest, last, sv, masked, boxes=boxes).data)
 
 
 # ---------------------------------------------------------------------------

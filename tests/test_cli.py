@@ -442,6 +442,92 @@ def test_non_finite_intensity_is_data_error(phantom, tmp_path, capsys, flag, bad
 
 
 # ---------------------------------------------------------------------------
+# resuming from a bad forest file
+
+FOREST_FLAGS = ["--v-min-um3", "2500", "--v-max-um3", "12000"]
+
+
+def forest_run(root, seed):
+    """Stage artifacts of a 24^3 phantom whose forest holds merges."""
+    assert main(["synth", "--output-prefix", str(root / f"ph{seed}"), "--dims", "24",
+                 "--n-cells", "6", "--noise-sigma", "0.02", "--blur-sigma", "0.5",
+                 "--seed", str(seed)]) == 0
+    prefix = root / f"run{seed}"
+    assert main(["segment", str(root / f"ph{seed}.image.mvol.json"), "--output-prefix",
+                 str(prefix), "--dump-stages", *FOREST_FLAGS]) == 0
+    return prefix
+
+
+@pytest.fixture(scope="module")
+def forest_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("forests")
+    return forest_run(root, 3), forest_run(root, 4)
+
+
+def resume(capsys, run_prefix, forest_path, out):
+    return run(capsys, "segment", "--preprocessed-in", f"{run_prefix}.pre.mvol.json",
+               "--supervoxels-in", f"{run_prefix}.sv.mvol.json", "--forest-in",
+               str(forest_path), "--output-prefix", str(out), *FOREST_FLAGS)
+
+
+def cut_node_lines(lines, n_nodes):
+    return lines[: 2 + n_nodes - 2]  # the file ends two node lines early
+
+
+def cut_leaf_map(lines, n_nodes):
+    return lines[:-2]
+
+
+def unknown_child(lines, n_nodes):
+    merge = next(i for i in range(2, 2 + n_nodes) if lines[i].split(",")[1] != "-")
+    f = lines[merge].split(",")
+    f[2] = str(n_nodes + 50)
+    return lines[:merge] + [",".join(f)] + lines[merge + 1 :]
+
+
+def leaf_id_outside_range(lines, n_nodes):
+    f = lines[2].split(",")
+    assert f[0] == "1" and f[1] == "-"
+    f[0] = str(n_nodes + 50)
+    return lines[:2] + [",".join(f)] + lines[3:]
+
+
+def voxel_count_off_by_one(lines, n_nodes):
+    last = lines[1 + n_nodes].split(",")
+    assert last[1] != "-"
+    last[3] = str(int(last[3]) + 1)
+    return lines[: 1 + n_nodes] + [",".join(last)] + lines[2 + n_nodes :]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [cut_node_lines, cut_leaf_map, unknown_child, leaf_id_outside_range, voxel_count_off_by_one],
+)
+def test_inconsistent_forest_file_is_io_failure(forest_runs, tmp_path, capsys, edit):
+    good = forest_runs[0]
+    lines = open(f"{good}.forest.txt").read().splitlines()
+    n_nodes = int(lines[1].split()[1])
+    assert n_nodes > int(lines[1].split()[3])  # the forest holds merges
+    bad = tmp_path / "bad.forest.txt"
+    bad.write_text("\n".join(edit(lines, n_nodes)) + "\n")
+    rc, _, err = resume(capsys, good, bad, tmp_path / "out")
+    assert rc == 3
+    assert err.startswith("error [stage io]:")
+    assert not (tmp_path / "out.labels.mvol.json").exists()
+
+
+def test_forest_from_another_run_is_data_error(forest_runs, tmp_path, capsys):
+    run3, run4 = forest_runs
+    rc, _, _ = resume(capsys, run3, f"{run3}.forest.txt", tmp_path / "same")
+    assert rc == 0
+    rc, _, err = resume(capsys, run4, f"{run3}.forest.txt", tmp_path / "other")
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+    assert "leaf voxel counts" in err
+    assert not (tmp_path / "other.labels.mvol.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # evaluation command
 
 

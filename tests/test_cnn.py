@@ -29,7 +29,14 @@ from cellforest.cnn import (
     train,
 )
 
-from oracles import conv3d_reference, finite_difference_grad, maxpool_reference
+import cellforest.cnn as cnn_module
+from oracles import (
+    conv3d_im2col_reference,
+    conv3d_reference,
+    finite_difference_grad,
+    maxpool_argmax_reference,
+    maxpool_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +97,64 @@ def test_maxpool_backward_routes_to_argmax():
     y2, _ = maxpool3d_forward(masked)
     np.testing.assert_array_equal(y2, y)
     np.testing.assert_allclose((g * x).sum(), (dy * y).sum(), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the blocked / copy-free forwards with the whole-array ones
+
+
+def bits(a):
+    """The float64 bit patterns, so -0.0 and +0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 6])
+@pytest.mark.parametrize("side,c_in,c_out", [(32, 1, 32), (16, 32, 64)], ids=["conv1", "conv2"])
+def test_conv_forward_bit_equal_to_whole_im2col(side, c_in, c_out, batch):
+    # the production shapes of both layers, full-size patches
+    rng = np.random.default_rng(side + batch)
+    x = np.maximum(rng.standard_normal((batch, side, side, side, c_in)), 0.0)
+    w = rng.standard_normal((5, 5, 5, c_in, c_out)) * 0.05
+    b = rng.standard_normal(c_out)
+    assert np.array_equal(conv3d_forward(x, w, b), conv3d_im2col_reference(x, w, b))
+
+
+@pytest.mark.parametrize("slices", [1, 2, 3, 7, 100])
+def test_conv_forward_blocks_that_do_not_divide_the_depth(monkeypatch, slices):
+    # a 7-deep odd shape cut into blocks of 1, 2, 3 and 7 slices, and a
+    # block larger than the whole sample
+    n, d, h, wd, c_in, k = 2, 7, 5, 6, 3, 5
+    monkeypatch.setattr(cnn_module, "CONV_BLOCK", slices * h * wd * k**3 * c_in * 8)
+    rng = np.random.default_rng(slices)
+    x = rng.standard_normal((n, d, h, wd, c_in))
+    w = rng.standard_normal((k, k, k, c_in, 4))
+    b = rng.standard_normal(4)
+    assert np.array_equal(conv3d_forward(x, w, b), conv3d_im2col_reference(x, w, b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_maxpool_bit_equal_to_argmax_reference_on_ties_and_signed_zeros(seed):
+    # few distinct values, so most windows hold ties, and zeros of both
+    # signs, whose ties must keep the first one's sign bit
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=(2, 4, 6, 8, 3))
+    x[0, :2, :2, :2, 0] = -0.0  # all-negative-zero window
+    x[1, :2, :2, :2, 0] = [[[-0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    x[1, 2:, :2, :2, 0] = [[[0.0, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [-0.0, 0.0]]]
+    y, idx = maxpool3d_forward(x)
+    y_ref, idx_ref = maxpool_argmax_reference(x)
+    assert np.array_equal(bits(y), bits(y_ref))
+    assert np.array_equal(idx, idx_ref)
+    assert np.signbit(y[0, 0, 0, 0, 0]) and np.signbit(y[1, 0, 0, 0, 0])
+    assert not np.signbit(y[1, 1, 0, 0, 0])
+
+
+def test_maxpool_bit_equal_to_argmax_reference_at_production_shape():
+    x = np.maximum(np.random.default_rng(6).standard_normal((2, 32, 32, 32, 32)), 0.0)
+    y, idx = maxpool3d_forward(x)
+    y_ref, idx_ref = maxpool_argmax_reference(x)
+    assert np.array_equal(bits(y), bits(y_ref))
+    assert np.array_equal(idx, idx_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +462,66 @@ def test_load_model_rejects_wrong_format(tmp_path):
     path.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def rewrite_header(path, out, edit):
+    """Copy a model file with its JSON header passed through ``edit``."""
+    import json
+
+    header, _, payload = path.read_bytes().partition(b"\n")
+    meta = json.loads(header)
+    payload = edit(meta, payload)
+    out.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    return out
+
+
+def test_load_model_rejects_duplicated_parameter(tmp_path):
+    path = tmp_path / "net.model"
+    save_model(small_model(seed=23), path)
+
+    def twice(meta, payload):
+        meta["params"].insert(1, dict(meta["params"][1]))  # conv1_b again
+        return payload
+
+    bad = rewrite_header(path, tmp_path / "dup.model", twice)
+    with pytest.raises(ValueError, match="'conv1_b' 2 times"):
+        load_model(bad)
+
+
+def test_load_model_rejects_missing_parameter(tmp_path):
+    path = tmp_path / "net.model"
+    model = small_model(seed=24)
+    save_model(model, path)
+
+    def drop_out_b(meta, payload):
+        assert meta["params"][-1]["name"] == "out_b"
+        meta["params"].pop()
+        return payload[: -model.params["out_b"].nbytes]
+
+    bad = rewrite_header(path, tmp_path / "missing.model", drop_out_b)
+    with pytest.raises(ValueError, match="'out_b' 0 times"):
+        load_model(bad)
+
+
+def test_load_model_rejects_unknown_parameter(tmp_path):
+    path = tmp_path / "net.model"
+    save_model(small_model(seed=25), path)
+
+    def rename(meta, payload):
+        meta["params"][0]["name"] = "conv0_w"
+        return payload
+
+    bad = rewrite_header(path, tmp_path / "unknown.model", rename)
+    with pytest.raises(ValueError, match="unknown parameter 'conv0_w'"):
+        load_model(bad)
+
+
+def test_load_model_rejects_over_long_payload(tmp_path):
+    path = tmp_path / "net.model"
+    save_model(small_model(seed=26), path)
+    (tmp_path / "long.model").write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="payload length mismatch"):
+        load_model(tmp_path / "long.model")
 
 
 def test_load_model_rejects_truncated_payload(tmp_path):

@@ -432,3 +432,26 @@ def test_load_forest_rejects_garbage(tmp_path):
     path.write_text("not a forest\n")
     with pytest.raises(ValueError):
         load_forest(path)
+
+
+@pytest.mark.parametrize(
+    "merges,message",
+    [
+        (["3,1,2,5,5.0,0.5"], None),  # the well-formed baseline
+        (["3,1,1,4,4.0,0.5"], "reused children"),  # one child twice
+        (["3,1,2,5,5.0,0.5", "4,1,2,5,5.0,0.5"], "reused children"),  # shared
+        (["3,1,3,5,5.0,0.5"], "reused children"),  # its own child: a cycle
+        (["3,1,2,5,5.0,0.5", "3,1,2,5,5.0,0.5"], "not unique"),
+        (["3,1,2,6,6.0,0.5"], "children's sum"),
+    ],
+)
+def test_load_forest_rejects_inconsistent_structure(tmp_path, merges, message):
+    lines = ["# cellforest merge-forest v1", f"nodes {2 + len(merges)} leaves 2",
+             "1,-,-,2,2.0,-", "2,-,-,3,3.0,-", *merges, "leaf_map", "1,1", "2,2"]
+    path = tmp_path / "f.forest.txt"
+    path.write_text("\n".join(lines) + "\n")
+    if message is None:
+        assert load_forest(path).roots == [3]
+        return
+    with pytest.raises(ValueError, match=message):
+        load_forest(path)
