@@ -28,7 +28,7 @@ from .volume import (
     read_volume,
     write_volume,
 )
-from .watershed import MinimaSet, compact_labels, find_local_minima, seeded_watershed
+from .watershed import MinimaSet, find_local_minima, seeded_watershed
 
 __all__ = [
     "ClassProbs",
@@ -48,7 +48,6 @@ __all__ = [
     "VoxelIndex",
     "agglomerate",
     "build_region_graph",
-    "compact_labels",
     "extract_patch",
     "face_neighbors",
     "finalize",

@@ -71,8 +71,8 @@ class Patch:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.shape != (PATCH_SIZE, PATCH_SIZE, PATCH_SIZE):
             raise ValueError(f"patch must be {PATCH_SIZE}^3, got {self.data.shape}")
-        if self.data.min() < 0.0 or self.data.max() > 1.0:
-            raise ValueError("patch values must lie in [0, 1]")
+        if not ((self.data >= 0.0) & (self.data <= 1.0)).all():
+            raise ValueError("patch values must be finite and lie in [0, 1]")
 
 
 def crop_patch(

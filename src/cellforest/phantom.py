@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from .classify import CLASS_NAMES, PATCH_SIZE, Patch, crop_patch
+from .classify import CLASS_NAMES, Patch, crop_patch
 from .cnn import DatasetError
 from .preprocess import ball_offsets, gaussian_smooth
 from .volume import LabelVolume, ScalarVolume, read_volume, write_volume
@@ -290,9 +290,10 @@ def load_patch_dataset(dirpath: str) -> tuple[np.ndarray, np.ndarray]:
             if cls not in CLASS_NAMES:
                 raise DatasetError(f"unknown class name {cls!r} in index")
             vol = read_volume(os.path.join(dirpath, name))
-            if vol.data.shape != (PATCH_SIZE,) * 3:
-                raise DatasetError(f"{name}: patch must be {PATCH_SIZE}^3")
-            x.append(np.asarray(vol.data, dtype=np.float64))
+            try:
+                x.append(Patch(vol.data).data)
+            except ValueError as exc:
+                raise DatasetError(f"{name}: {exc}") from None
             classes.append(CLASS_NAMES.index(cls))
     if not x:
         raise DatasetError(f"empty dataset in {dirpath}")

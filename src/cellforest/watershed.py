@@ -4,12 +4,36 @@ Seeds are every plateau-connected local minimum of the preprocessed
 volume (26-connectivity), flooded with a 6-connected priority flood.
 Skipping any minima suppression keeps the supervoxels conservative: they
 may split cells but should never span two of them.
+
+``seeded_watershed`` follows its queue without running it. A voxel takes
+the label of its *parent*, the 6-neighbour processed first (seeds, in
+scan order, then pops), so pointer jumping gives the labels once the pop
+order is known. It has a closed form:
+
+* The water level lam(v) is the minimax rank over paths from the seeds:
+  rank(v) where a non-increasing path (steepest descent, BFS across
+  plateaus) reaches a seed, else relaxed. Only *pit* voxels (lam > rank:
+  seedless depressions, e.g. at a 6-minimum that is no 26-minimum) pop
+  out of rank order.
+* The generation gen(v), v's FIFO layer in its level, is 0 next to a
+  lower level, else one more than its earliest equal-level neighbour's.
+* Outside pits, v pops in the order of (lam, gen, parent's order, v's
+  direction from it in x-, x+, y-, y+, z-, z+ order). A pit is flooded
+  right after its *host*, the first rim voxel to pop: a pit voxel orders
+  as (host, position in that sub-flood), and rank-lam voxels it pushes get
+  gen(host) + 1. Levels that hold pit voxels are replayed exactly.
+* A voxel tied on (lam, gen) takes a candidate's label, and is settled
+  exactly (walking both parent chains until the keys, or the directions
+  at a shared parent, differ) only where its candidates' labels disagree.
+  Then the labels are exact, by induction in pop order: a voxel's true
+  parent pops before it and is one of its candidates.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
+from functools import cmp_to_key, partial, reduce
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -34,14 +58,6 @@ class MinimaSet:
 
     def __len__(self) -> int:
         return len(self.plateau_values)
-
-    def components(self) -> list[tuple[np.ndarray, float]]:
-        """List of (coords, value) pairs; coords is an (m, 3) array of (x, y, z)."""
-        out = []
-        for comp in range(1, len(self.plateau_values) + 1):
-            zyx = np.argwhere(self.seed_labels == comp)
-            out.append((zyx[:, ::-1].copy(), float(self.plateau_values[comp - 1])))
-        return out
 
 
 def find_local_minima(v: ScalarVolume) -> MinimaSet:
@@ -95,6 +111,17 @@ def find_local_minima(v: ScalarVolume) -> MinimaSet:
     return MinimaSet(seed_labels, flat[first[1:]])
 
 
+class _Unknown(Exception):
+    """A comparison needs the exact parent of the voxel in ``args[0]``."""
+
+
+def _roots(ptr: np.ndarray) -> np.ndarray:
+    """The root (self-pointing end) of every pointer chain, by pointer jumping."""
+    while not np.array_equal(nxt := ptr[ptr], ptr):
+        ptr = nxt
+    return ptr
+
+
 def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     """Priority flood from the seed components over 6-connectivity.
 
@@ -105,13 +132,8 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     unlabeled neighbors in x-, x+, y-, y+, z-, z+ order, which makes the
     result deterministic.
 
-    A voxel is labelled at its first push and never queued twice. That
-    equals labelling it at its first pop: every entry for a voxel has its
-    intensity, so its first push has the smallest counter and pops first.
-    An entry is one int, ``rank << 2B | counter << B | index``: ``rank``
-    orders the intensities (``np.unique``, exact for finite values; others
-    raise ``ValueError``), ``index`` is the voxel in the padded grid and
-    ``B`` is the bit length of the padded size.
+    The module docstring derives the labels from this specification.
+    Intensities are ranked by ``np.unique``; non-finite ones raise.
     """
     if len(seeds) == 0:
         raise ValueError("seeded_watershed requires at least one seed component")
@@ -120,60 +142,137 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
         raise ValueError("seed array shape does not match volume")
     if not np.isfinite(a).all():
         raise ValueError("seeded_watershed requires finite intensities")
-    nz, ny, nx = a.shape
 
-    # Pad with a sentinel ring so neighbor indexing never needs bounds
-    # checks: border labels are -1, so border voxels are never queued.
-    rank = np.pad(np.unique(a, return_inverse=True)[1].reshape(a.shape), 1)
-    lp = np.pad(seeds.seed_labels.astype(np.int32), 1, mode="constant", constant_values=-1)
-    pnx, pny = nx + 2, ny + 2
-    steps = (-1, 1, -pnx, pnx, -pnx * pny, pnx * pny)
-    bits = lp.size.bit_length()
-    mask = (1 << bits) - 1
-    # rank and index of every voxel; a push ORs in the counter
-    base = [r << 2 * bits | i for i, r in enumerate(rank.ravel().tolist())]
-    labels = lp.ravel().tolist()
+    # Flat indices into a grid padded with label -1, rank big; [lo, hi) is inside.
+    big = np.iinfo(np.int32).max
+    r = np.full(np.add(a.shape, 2), big, dtype=np.int32)
+    r[1:-1, 1:-1, 1:-1] = np.unique(a, return_inverse=True)[1].reshape(a.shape)
+    pshape, r = r.shape, r.ravel()
+    lp = np.pad(seeds.seed_labels.astype(np.int32), 1, constant_values=-1).ravel()
+    steps = (-1, 1, -pshape[2], pshape[2], -pshape[1] * pshape[2], pshape[1] * pshape[2])
+    n, lo, hi = r.size, steps[5] + steps[3] + 1, r.size - steps[5] - steps[3] - 1
+    every = np.arange(n, dtype=np.int32)
+    idx = every[lo:hi]
+    free = lp[lo:hi] == 0
 
-    heap: list[int] = []
-    counter = 0
-    # padding keeps the x-fastest scan order of the seed voxels
-    for idx in np.flatnonzero(lp.ravel() > 0).tolist():
-        lab = labels[idx]
-        for step in steps:
-            n = idx + step
-            if labels[n] == 0:
-                labels[n] = lab
-                heap.append(base[n] | counter << bits)
-                counter += 1
-    heapq.heapify(heap)
+    # Descent pointers: to a lowest neighbour if it is lower, else across
+    # the plateau by BFS towards its exits; the BFS depth is gen.
+    ptr = every.copy()
+    low = reduce(np.minimum, [r[lo + s:hi + s] for s in steps])
+    for s in steps:
+        np.copyto(ptr[lo:hi], idx + s, where=free & (r[lo + s:hi + s] == low) & (low < r[lo:hi]))
+    gen = np.zeros(n, dtype=np.int32)
+    flat = idx[free & (low == r[lo:hi])]
+    gen[flat] = -1
+    for depth in range(1, n):
+        hits = [(gen[flat + s] == depth - 1) & (r[flat + s] == r[flat]) for s in steps]
+        for s, h in zip(steps, hits):
+            ptr[flat[h]] = flat[h] + s
+        if not (hit := reduce(np.logical_or, hits)).any():
+            break  # done, or plateaus with no way down: pit bottoms
+        gen[flat[hit]] = depth
+        flat = flat[~hit]
 
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap:
-        idx = pop(heap) & mask
-        lab = labels[idx]
-        for step in steps:
-            n = idx + step
-            if labels[n] == 0:
-                labels[n] = lab
-                push(heap, base[n] | counter << bits)
-                counter += 1
+    # Water levels: rank where the descent reaches a seed, else the
+    # minimax, relaxed to a fixed point. Seeds get level -1.
+    lam = np.where(lp > 0, -1, r)
+    wet = idx[free & (lp[_roots(ptr)][lo:hi] == 0)]
+    del low, ptr
+    lam[wet] = big
+    while not np.array_equal(
+        t := np.maximum(r[wet], reduce(np.minimum, [lam[wet + s] for s in steps])), lam[wet]
+    ):
+        lam[wet] = t
+    pit_levels = np.unique(lam[wet][lam[wet] > r[wet]]).tolist()
 
-    out = np.array(labels, dtype=np.int32).reshape(nz + 2, ny + 2, nx + 2)[1:-1, 1:-1, 1:-1]
-    return LabelVolume(out.copy(), v.spacing)
+    # Order keys (lam, gen) in one int64; seeds below all, in scan order.
+    span = n + 1
+    kk = np.where(lp > 0, every - np.int64(n), lam.astype(np.int64) * span + gen)
+    par = np.where(lp > 0, every, -1)
+    R, LAM, GEN, K, PAR = map(memoryview, (r, lam, gen, kk, par))
+    host = {}  # pit voxel -> (host, position in its sub-flood)
 
+    def before(x, y):
+        """Negative if x is processed before y."""
+        while K[x] == K[y]:
+            (x, i), (y, j) = host.get(x, (x, 0)), host.get(y, (y, 0))
+            if x == y:
+                return i - j
+            px, py = PAR[x], PAR[y]
+            if px < 0 or py < 0:
+                raise _Unknown(x if px < 0 else y)
+            if px == py:
+                return steps.index(x - px) - steps.index(y - py)
+            x, y = px, py
+        return -1 if K[x] < K[y] else 1
 
-def compact_labels(lv: LabelVolume) -> LabelVolume:
-    """Relabel to contiguous 1..K, ordered by first occurrence in x-fastest scan.
+    def pick(x):
+        """Set the exact parent of x: its first neighbour."""
+        if PAR[x] < 0:
+            near = [x + s for s in steps]
+            first = min(K[y] for y in near)
+            PAR[x] = min((y for y in near if K[y] == first), key=cmp_to_key(before))
 
-    Label 0 stays 0.
-    """
-    flat = lv.labels.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    nonzero = uniq != 0
-    uniq = uniq[nonzero]
-    first = first[nonzero]
-    order = np.argsort(first, kind="stable")
-    remap = np.zeros(int(uniq.max(initial=0)) + 1, dtype=np.int32)
-    remap[uniq[order]] = np.arange(1, len(uniq) + 1, dtype=np.int32)
-    return LabelVolume(remap[lv.labels], lv.spacing)
+    def settle(task):
+        """Run task() once the exact parents its comparisons need are set."""
+        todo = [task]
+        while todo:
+            try:
+                todo[-1]()
+                todo.pop()
+            except _Unknown as need:
+                todo.append(partial(pick, need.args[0]))
+
+    # Levels with pit voxels, in increasing order: their gen-0 voxels in
+    # push order, then the level replayed with one FIFO per rank.
+    for level in pit_levels:
+        members = np.flatnonzero(lam == level).tolist()
+        queue = [x for x in members if min(LAM[x + s] for s in steps) < level]
+        settle(partial(queue.sort, key=cmp_to_key(before)))
+        fifo, unseen = {level: deque(queue)}, set(members).difference(queue)
+        while fifo:
+            rank = min(fifo)
+            x = fifo[rank].popleft()
+            if not fifo[rank]:
+                del fifo[rank]
+            rim, pos = (x, 0) if rank == level else (rim, pos + 1)
+            if pos:
+                host[x], GEN[x] = (rim, pos), GEN[rim]
+            K[x] = level * span + GEN[x]
+            for y in (x + s for s in steps):
+                if y in unseen:
+                    unseen.remove(y)
+                    PAR[y], GEN[y] = x, GEN[x] + 1
+                    fifo.setdefault(R[y], deque()).append(y)
+
+    # Parents of the rest: the unique neighbour first by key, else a tie.
+    first = reduce(np.minimum, [kk[lo + s:hi + s] for s in steps])
+    hits = [kk[lo + s:hi + s] == first for s in steps]
+    open_ = free & (par[lo:hi] < 0)
+    one = open_ & (sum(h.view(np.int8) for h in hits) == 1)
+    for s, h in zip(steps, hits):
+        np.copyto(par[lo:hi], idx + s, where=one & h)
+    tied = idx[open_ & ~one]
+    cand = np.stack([np.where(h[tied - lo], tied + s, -1) for s, h in zip(steps, hits)])
+    del r, lam, gen, R, LAM, GEN, first, hits
+
+    # Labels: roots are seeds or tied voxels. On the graph compressed to
+    # them (nodes: tied voxels, then labels) a tied voxel points to a
+    # candidate's root, or to its exact parent's once candidates disagree.
+    root = _roots(np.where(par >= 0, par, every))
+    code = np.where(lp > 0, len(tied) + lp, 0)
+    code[tied] = np.arange(len(tied))
+    cnode = np.where(cand >= 0, code[root[cand]], -1)
+    link = np.concatenate([cnode.max(0), np.arange(len(tied), code.max() + 1)])
+    while True:
+        done = par[tied] >= 0
+        link[: len(tied)][done] = code[root[par[tied[done]]]]
+        lab = np.where(cnode >= 0, _roots(link)[cnode], -1)
+        clash = ~done & (np.where(lab >= 0, lab, big).min(0) != lab.max(0))
+        if not clash.any():
+            break
+        for t in tied[clash].tolist():
+            settle(partial(pick, t))
+    code[tied] = _roots(link)[: len(tied)]
+    out = (code[root] - len(tied)).reshape(pshape)[1:-1, 1:-1, 1:-1]
+    return LabelVolume(np.ascontiguousarray(out, dtype=np.int32), v.spacing)

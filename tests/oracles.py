@@ -8,6 +8,7 @@ pooling, whole-volume patch extraction) that the blocked and
 box-bounded production code must reproduce bit for bit.
 """
 
+import heapq
 import itertools
 
 import numpy as np
@@ -141,6 +142,70 @@ def flood_reference(values, seed_labels):
         labels[z, y, x] = lab
         push_neighbors(z, y, x, lab)
     return labels
+
+
+def flood_heap_reference(values, seed_labels, trace=False):
+    """The same flood as ``flood_reference`` with a packed-int heap: fast
+    enough for whole phantoms, exact for any finite input.
+
+    A voxel is labelled at its first push and never queued twice, which
+    equals labelling it at its first pop: every entry for a voxel has its
+    intensity, so its first push has the smallest counter and pops first.
+    An entry is one int, ``rank << 2B | counter << B | index``, where
+    ``rank`` orders the intensities, ``index`` is the voxel in the padded
+    grid and ``B`` is the bit length of the padded size.
+
+    With ``trace`` it also returns, per voxel (-1 for seeds): ``rank``,
+    ``level`` (the highest rank popped so far when it pops), ``parent``
+    (flat index of the voxel whose pop pushed it) and ``order`` (its pop
+    number).
+    """
+    a = np.asarray(values, dtype=np.float64)
+    nz, ny, nx = a.shape
+    # a sentinel ring of label -1 keeps border voxels out of the queue
+    rank = np.pad(np.unique(a, return_inverse=True)[1].reshape(a.shape), 1)
+    lp = np.pad(np.asarray(seed_labels, dtype=np.int32), 1, constant_values=-1)
+    pnx, pny = nx + 2, ny + 2
+    steps = (-1, 1, -pnx, pnx, -pnx * pny, pnx * pny)
+    bits = lp.size.bit_length()
+    mask = (1 << bits) - 1
+    base = [r << 2 * bits | i for i, r in enumerate(rank.ravel().tolist())]
+    labels = lp.ravel().tolist()
+    info = np.full((3, lp.size), -1, dtype=np.int64)  # level, parent, order
+    heap = []
+    counter = 0
+    pops = 0
+
+    def push_neighbors(idx):
+        nonlocal counter
+        for step in steps:
+            n = idx + step
+            if labels[n] == 0:
+                labels[n] = labels[idx]
+                info[1, n] = idx
+                heapq.heappush(heap, base[n] | counter << bits)
+                counter += 1
+
+    for idx in np.flatnonzero(lp.ravel() > 0).tolist():
+        push_neighbors(idx)
+    level = -1
+    while heap:
+        entry = heapq.heappop(heap)
+        idx = entry & mask
+        if trace:
+            level = max(level, entry >> 2 * bits)
+            info[0, idx], info[2, idx] = level, pops
+            pops += 1
+        push_neighbors(idx)
+    out = np.array(labels, dtype=np.int32).reshape(lp.shape)[1:-1, 1:-1, 1:-1].copy()
+    if not trace:
+        return out
+    inner = (slice(1, -1),) * 3
+    level, parent, order = (x.reshape(lp.shape)[inner] for x in info)
+    pz, py, px = np.unravel_index(np.maximum(parent, 0), lp.shape)
+    parent = np.where(parent >= 0, np.ravel_multi_index((pz - 1, py - 1, px - 1), a.shape, mode="clip"), -1)
+    rank = np.where(level >= 0, rank[inner], -1)
+    return out, {"rank": rank, "level": level, "parent": parent, "order": order}
 
 
 def region_stats_reference(labels, values, spacing):

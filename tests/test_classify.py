@@ -44,6 +44,14 @@ def test_patch_validation():
     assert p.data.dtype == np.float64
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_patch_rejects_non_finite_values(bad):
+    data = np.full((32, 32, 32), 0.5)
+    data[3, 4, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Patch(data)
+
+
 # ---------------------------------------------------------------------------
 # cropping
 

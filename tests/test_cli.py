@@ -374,6 +374,29 @@ def test_segment_resume_from_artifacts_is_equivalent(phantom, tmp_path, capsys):
     ).read_bytes()
 
 
+def test_segment_resume_from_all_three_artifacts_is_byte_identical(
+    phantom, tmp_path, capsys
+):
+    flags = [*SEG_FLAGS, "--classifier", "heuristic"]
+    direct = tmp_path / "direct"
+    rc, _, _ = run(
+        capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix", str(direct),
+        *flags, "--dump-stages",
+    )
+    assert rc == 0
+    resumed = tmp_path / "resumed"
+    rc, _, _ = run(
+        capsys, "segment", "--preprocessed-in", f"{direct}.pre.mvol.json",
+        "--supervoxels-in", f"{direct}.sv.mvol.json", "--forest-in", f"{direct}.forest.txt",
+        "--output-prefix", str(resumed), *flags,
+    )
+    assert rc == 0
+    for suffix in (".labels.raw", ".forest.txt", ".report.txt"):
+        assert (tmp_path / f"direct{suffix}").read_bytes() == (
+            tmp_path / f"resumed{suffix}"
+        ).read_bytes(), suffix
+
+
 def test_resume_dependency_validation(phantom, tmp_path, capsys):
     rc, _, err = run(
         capsys,
@@ -683,3 +706,21 @@ def test_train_missing_class_is_data_error(patch_dir, tmp_path, capsys):
     )
     assert rc == 4
     assert "[stage data]" in err
+
+
+def test_train_non_finite_patch_is_data_error(patch_dir, tmp_path, capsys):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(patch_dir, broken)
+    name = (broken / "index.txt").read_text().split("\n")[0].split(",")[0]
+    patch = read_volume(broken / name)
+    data = patch.data.copy()
+    data[0, 0, 0] = np.nan
+    write_volume(ScalarVolume(data, patch.spacing), broken / name)
+    rc, _, err = run(
+        capsys, "train", "--dataset", str(broken), "--model-out", str(tmp_path / "m")
+    )
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+    assert name in err and "finite" in err

@@ -239,6 +239,18 @@ def test_load_dataset_rejects_wrong_patch_shape(tmp_path):
         load_patch_dataset(ds)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.25])
+def test_load_dataset_rejects_bad_patch_values(tmp_path, bad):
+    from cellforest.volume import ScalarVolume, write_volume
+
+    data = np.full((32, 32, 32), 0.5, dtype=np.float32)
+    data[0, 1, 2] = bad
+    write_volume(ScalarVolume(data), tmp_path / "p.mvol.json")
+    (tmp_path / "index.txt").write_text("p.mvol.json,correct\n")
+    with pytest.raises(DatasetError, match=r"p\.mvol\.json: patch values must be finite"):
+        load_patch_dataset(tmp_path)
+
+
 def test_save_dataset_rejects_unknown_class(tmp_path):
     patches, _ = generate_patch_dataset(small_params(), 1, 1, 1)
     with pytest.raises(DatasetError):

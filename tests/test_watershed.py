@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage as ndi
 
 from cellforest.phantom import PhantomParams, generate_phantom
 from cellforest.preprocess import preprocess
-from cellforest.volume import LabelVolume, ScalarVolume
-from cellforest.watershed import (
-    MinimaSet,
-    compact_labels,
-    find_local_minima,
-    seeded_watershed,
-)
+from cellforest.volume import ScalarVolume
+from cellforest.watershed import MinimaSet, find_local_minima, seeded_watershed
 
-from oracles import flood_reference, minima_reference
+from oracles import flood_heap_reference, flood_reference, minima_reference
 
 
 def as_volume(data):
@@ -64,13 +60,12 @@ def test_minima_match_reference_on_random_u8(seed):
     np.testing.assert_array_equal(minima_labels(as_volume(data)), minima_reference(data))
 
 
-def test_minima_components_accessor():
+def test_minima_seed_labels_and_plateau_values():
     data = np.array([3, 1, 3, 2, 3], dtype=float).reshape(1, 1, 5)
-    comps = find_local_minima(as_volume(data)).components()
-    assert len(comps) == 2
-    coords, value = comps[0]
-    np.testing.assert_array_equal(coords, [[1, 0, 0]])  # (x, y, z)
-    assert value == 1.0
+    m = find_local_minima(as_volume(data))
+    assert len(m) == 2
+    np.testing.assert_array_equal(np.argwhere(m.seed_labels == 1), [[0, 0, 1]])  # (z, y, x)
+    assert m.plateau_values[0] == 1.0
 
 
 def test_watershed_single_seed_floods_everything():
@@ -194,20 +189,134 @@ def test_watershed_rejects_non_finite(bad):
         seeded_watershed(as_volume(data), m)
 
 
-def test_compact_labels_scan_order():
-    labels = np.array([5, 9, 5, 9]).reshape(1, 1, 4)
-    out = compact_labels(LabelVolume(labels))
-    np.testing.assert_array_equal(out.labels[0, 0], [1, 2, 1, 2])
+# --- the order model: pits, hosts, generations, ties ------------------------
 
 
-def test_compact_labels_identity_when_contiguous():
-    labels = np.array([1, 2, 1, 3]).reshape(1, 1, 4)
-    out = compact_labels(LabelVolume(labels))
-    np.testing.assert_array_equal(out.labels, labels)
+def flood_case(data):
+    """Production labels, checked against both references, and the trace."""
+    v = as_volume(data)
+    m = find_local_minima(v)
+    out = seeded_watershed(v, m).labels
+    ref, trace = flood_heap_reference(data, m.seed_labels, trace=True)
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(out, flood_reference(data, m.seed_labels))
+    return out, m, trace
 
 
-def test_compact_labels_background_only():
-    labels = np.zeros((2, 2, 2), dtype=np.int32)
-    out = compact_labels(LabelVolume(labels))
-    np.testing.assert_array_equal(out.labels, labels)
-    assert out.max_label() == 0
+def pit_hosts(trace):
+    """Host (flat index) of each 6-component of pit voxels, which pop at a
+    higher water level than their own rank."""
+    comps, n = ndi.label(trace["level"] > trace["rank"])
+    hosts = []
+    for c in range(1, n + 1):
+        voxels = np.flatnonzero(comps.ravel() == c)
+        first = voxels[np.argmin(trace["order"].ravel()[voxels])]
+        hosts.append(int(trace["parent"].ravel()[first]))
+    return hosts
+
+
+def plane(rows):
+    return np.array(rows, dtype=float)[None] / 10.0
+
+
+def test_watershed_pit_at_a_6_minimum_that_is_no_26_minimum():
+    # (1, 1) has only higher face neighbours, but the seed (0, 0) is its
+    # diagonal neighbour, so it is no seed. It floods from its host
+    # (1, 2), the lowest voxel of its rim, which seed 2 reaches first.
+    data = plane([[0, 5, 6, 6, 6],
+                  [5, 1, 4, 3, 2],
+                  [6, 5, 6, 6, 1],
+                  [6, 6, 6, 6, 0],
+                  [6, 6, 6, 6, 6]])
+    out, m, trace = flood_case(data)
+    assert len(m) == 2 and m.seed_labels[0, 1, 1] == 0
+    assert pit_hosts(trace) == [np.ravel_multi_index((0, 1, 2), data.shape)]
+    assert out[0, 1, 1] == 2
+
+
+def test_watershed_nested_pit_inside_a_pit_zone():
+    # The pit (1, 1..3) floods from host (0, 1) in the order 3, 4, 2: the
+    # 2 is a pit inside the pit. It takes label 1, although the voxel
+    # below it is a label-2 voxel of the spill plateau.
+    data = plane([[0, 6, 6, 6, 6, 6],
+                  [6, 3, 4, 2, 6, 6],
+                  [6, 6, 6, 6, 1, 6],
+                  [6, 6, 6, 6, 6, 6]])
+    out, _, trace = flood_case(data)
+    assert pit_hosts(trace) == [1]
+    assert list(np.argsort(trace["order"][0, 1, 1:4])) == [0, 1, 2]
+    assert list(trace["rank"][0, 1, 1:4]) == [3, 4, 2]
+    assert out[0, 1, 3] == 1 and out[0, 2, 3] == 2
+
+
+def test_watershed_two_pits_share_one_host():
+    # (1, 1) and (1, 3) are separate pits, each next to its own seed by a
+    # diagonal; both flood from (1, 2) in one sub-flood.
+    data = plane([[1, 7, 0, 7, 1],
+                  [7, 2, 6, 3, 7],
+                  [7, 7, 7, 7, 7]])
+    out, m, trace = flood_case(data)
+    assert len(m) == 3
+    host = np.ravel_multi_index((0, 1, 2), data.shape)
+    assert pit_hosts(trace) == [host, host]
+    np.testing.assert_array_equal(out[0, 1], [1, 2, 2, 2, 3])
+
+
+def test_watershed_plateau_at_the_spill_level():
+    # A corridor at the spill level 0.5 runs from seed 1 (x = 0) to seed 2
+    # (x = 15) through a pit at x = 6 whose seed is a corner neighbour.
+    # The pit's host x = 5 is generation 4; the sub-flood pushes x = 7 as
+    # generation 5, ahead of seed 2's side, and (0, 0, 8) above the
+    # corridor compares x = 8 (label 1) with the branch (0, 0, 9) (label 2)
+    # by those generations.
+    data = np.full((2, 3, 16), 0.9)
+    data[0, 1, 1:15] = 0.5
+    data[0, 1, [0, 15]] = 0.0
+    data[0, 1, 6] = 0.2
+    data[1, 2, 7] = 0.1
+    data[0, 0, 9] = 0.5
+    data[0, 0, 8] = 0.7
+    out, m, trace = flood_case(data)
+    assert len(m) == 3
+    assert pit_hosts(trace) == [np.ravel_multi_index((0, 1, 5), data.shape)]
+    np.testing.assert_array_equal(out[0, 1, 5:10], [1, 1, 1, 1, 2])
+    assert out[0, 0, 9] == 2 and out[0, 0, 8] == 1
+
+
+def test_watershed_tied_lowest_neighbours_with_different_labels():
+    # The 0.9 voxel's two neighbours tie on level and generation (0.4,
+    # gen 0) but carry different labels; the first difference along their
+    # parent chains decides: a lower grandparent, else seed scan order.
+    for profile, middle in (
+        ([0, 1, 4, 9, 4, 2, 0], 1),
+        ([0, 2, 4, 9, 4, 1, 0], 2),
+        ([0, 2, 4, 9, 4, 2, 0], 1),
+    ):
+        out, _, _ = flood_case(np.array(profile, dtype=float).reshape(1, 1, 7) / 10)
+        np.testing.assert_array_equal(out[0, 0], [1, 1, 1, middle, 2, 2, 2])
+
+
+def test_watershed_constant_volume():
+    out, m, _ = flood_case(np.full((3, 4, 5), 0.25))
+    assert len(m) == 1 and np.all(out == 1)
+
+
+@st.composite
+def smoothed_volumes(draw):
+    """Smoothed noise quantized to 3-40 levels, up to 24^3: pits, plateaus
+    at spill levels and ties between seeds are common."""
+    shape = draw(st.tuples(st.integers(1, 24), st.integers(1, 24), st.integers(1, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = ndi.gaussian_filter(rng.random(shape), draw(st.floats(0.5, 2.0)))
+    levels = draw(st.integers(3, 40))
+    return np.round((data - data.min()) / (np.ptp(data) or 1.0) * levels) / levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(smoothed_volumes())
+def test_watershed_matches_heap_reference_on_smoothed_volumes(data):
+    v = as_volume(data)
+    m = find_local_minima(v)
+    np.testing.assert_array_equal(
+        seeded_watershed(v, m).labels, flood_heap_reference(data, m.seed_labels)
+    )
