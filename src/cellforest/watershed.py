@@ -11,17 +11,17 @@ scan order, then pops), so pointer jumping gives the labels once the pop
 order is known. It has a closed form:
 
 * The water level lam(v) is the minimax rank over paths from the seeds:
-  rank(v) where a non-increasing path (steepest descent, BFS across
-  plateaus) reaches a seed, else relaxed. Only *pit* voxels (lam > rank:
-  seedless depressions, e.g. at a 6-minimum that is no 26-minimum) pop
-  out of rank order.
+  rank(v) where a non-increasing path reaches a seed, else relaxed. Only
+  *pit* voxels (lam > rank: seedless depressions, e.g. at a 6-minimum
+  that is no 26-minimum) pop out of rank order.
 * The generation gen(v), v's FIFO layer in its level, is 0 next to a
   lower level, else one more than its earliest equal-level neighbour's.
 * Outside pits, v pops in the order of (lam, gen, parent's order, v's
-  direction from it in x-, x+, y-, y+, z-, z+ order). A pit is flooded
-  right after its *host*, the first rim voxel to pop: a pit voxel orders
-  as (host, position in that sub-flood), and rank-lam voxels it pushes get
-  gen(host) + 1. Levels that hold pit voxels are replayed exactly.
+  direction from it in x-, x+, y-, y+, z-, z+ order). A pit component is
+  flooded right after its *host*, the first rim voxel to pop: it takes
+  gen(host), its voxels order as (host, position in that sub-flood) and
+  the rank-lam voxels it pushes get gen(host) + 1. Positions, like the
+  directions at a shared parent, only order voxels of one label.
 * A voxel tied on (lam, gen) takes a candidate's label, and is settled
   exactly (walking both parent chains until the keys, or the directions
   at a shared parent, differ) only where its candidates' labels disagree.
@@ -31,9 +31,9 @@ order is known. It has a closed form:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key, partial, reduce
+from itertools import groupby
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -155,41 +155,57 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     idx = every[lo:hi]
     free = lp[lo:hi] == 0
 
-    # Descent pointers: to a lowest neighbour if it is lower, else across
-    # the plateau by BFS towards its exits; the BFS depth is gen.
+    # Descent pointers: to a lowest neighbour if it is lower, else (on a
+    # plateau with no lower neighbour) to an exit of the plateau, if any.
     ptr = every.copy()
     low = reduce(np.minimum, [r[lo + s:hi + s] for s in steps])
     for s in steps:
         np.copyto(ptr[lo:hi], idx + s, where=free & (r[lo + s:hi + s] == low) & (low < r[lo:hi]))
-    gen = np.zeros(n, dtype=np.int32)
-    flat = idx[free & (low == r[lo:hi])]
-    gen[flat] = -1
-    for depth in range(1, n):
-        hits = [(gen[flat + s] == depth - 1) & (r[flat + s] == r[flat]) for s in steps]
-        for s, h in zip(steps, hits):
-            ptr[flat[h]] = flat[h] + s
-        if not (hit := reduce(np.logical_or, hits)).any():
-            break  # done, or plateaus with no way down: pit bottoms
-        gen[flat[hit]] = depth
-        flat = flat[~hit]
+    flat = np.zeros(n, dtype=bool)
+    flat[lo:hi] = free & (low == r[lo:hi])
+    plateau = ndi.label(flat.reshape(pshape))[0].ravel()
+    exits = np.full(plateau.max() + 1, -1, dtype=np.int32)
+    for s in steps:
+        e = idx[flat[lo:hi] & ~flat[lo + s:hi + s] & (r[lo + s:hi + s] == r[lo:hi])]
+        exits[plateau[e]] = e + s
+    ptr[flat] = np.where(exits[plateau[flat]] >= 0, exits[plateau[flat]], every[flat])
 
     # Water levels: rank where the descent reaches a seed, else the
     # minimax, relaxed to a fixed point. Seeds get level -1.
     lam = np.where(lp > 0, -1, r)
     wet = idx[free & (lp[_roots(ptr)][lo:hi] == 0)]
-    del low, ptr
-    lam[wet] = big
-    while not np.array_equal(
-        t := np.maximum(r[wet], reduce(np.minimum, [lam[wet + s] for s in steps])), lam[wet]
-    ):
+    del low, ptr, flat, plateau
+    lam[wet], near = big, wet[:, None] + np.array(steps, dtype=np.int32)
+    while not np.array_equal(t := np.maximum(r[wet], lam[near].min(1)), lam[wet]):
         lam[wet] = t
-    pit_levels = np.unique(lam[wet][lam[wet] > r[wet]]).tolist()
+
+    # Generations: 0 next to a lower level, else BFS depth within the
+    # level, where a pit component takes the generation of its host (the
+    # smallest on its rim) and passes on one more.
+    comp = ndi.label((lam > r).reshape(pshape))[0].ravel()
+    pits = np.flatnonzero(comp)
+    gen = np.zeros(n, dtype=np.int32)
+    t = idx[free & (reduce(np.minimum, [lam[lo + s:hi + s] for s in steps]) >= lam[lo:hi])]
+    gen[t] = -1
+
+    def fresh(front):
+        """Voxels next to front, on its level, that have no generation yet."""
+        nb = (front[:, None] + np.array(steps, dtype=np.int32)).ravel()
+        return np.unique(nb[(gen[nb] < 0) & (lam[nb] == np.repeat(lam[front], 6))])
+
+    new = t[reduce(np.logical_or, [(gen[t + s] == 0) & (lam[t + s] == lam[t]) for s in steps])]
+    for depth in range(n):
+        lit = pits[(gen[pits] < 0) & np.isin(comp[pits], comp[new])]
+        gen[lit] = depth
+        new = np.union1d(new[comp[new] == 0], fresh(lit))
+        gen[new] = depth + 1
+        if not len(new := fresh(new)):
+            break
 
     # Order keys (lam, gen) in one int64; seeds below all, in scan order.
-    span = n + 1
-    kk = np.where(lp > 0, every - np.int64(n), lam.astype(np.int64) * span + gen)
+    kk = np.where(lp > 0, every - np.int64(n), lam.astype(np.int64) * (n + 1) + gen)
     par = np.where(lp > 0, every, -1)
-    R, LAM, GEN, K, PAR = map(memoryview, (r, lam, gen, kk, par))
+    K, PAR, COMP = map(memoryview, (kk, par, comp))
     host = {}  # pit voxel -> (host, position in its sub-flood)
 
     def before(x, y):
@@ -223,27 +239,12 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
             except _Unknown as need:
                 todo.append(partial(pick, need.args[0]))
 
-    # Levels with pit voxels, in increasing order: their gen-0 voxels in
-    # push order, then the level replayed with one FIFO per rank.
-    for level in pit_levels:
-        members = np.flatnonzero(lam == level).tolist()
-        queue = [x for x in members if min(LAM[x + s] for s in steps) < level]
-        settle(partial(queue.sort, key=cmp_to_key(before)))
-        fifo, unseen = {level: deque(queue)}, set(members).difference(queue)
-        while fifo:
-            rank = min(fifo)
-            x = fifo[rank].popleft()
-            if not fifo[rank]:
-                del fifo[rank]
-            rim, pos = (x, 0) if rank == level else (rim, pos + 1)
-            if pos:
-                host[x], GEN[x] = (rim, pos), GEN[rim]
-            K[x] = level * span + GEN[x]
-            for y in (x + s for s in steps):
-                if y in unseen:
-                    unseen.remove(y)
-                    PAR[y], GEN[y] = x, GEN[x] + 1
-                    fifo.setdefault(R[y], deque()).append(y)
+    # Hosts, by increasing key: each pit component's first rim voxel.
+    for _, vox in groupby(sorted(pits.tolist(), key=lambda x: (K[x], COMP[x])), COMP.__getitem__):
+        vox = list(vox)
+        rim = {x + s for x in vox for s in steps if COMP[x + s] == 0 and K[x + s] == K[x]}
+        settle(lambda: host.update(dict.fromkeys(vox, (min(rim, key=cmp_to_key(before)), 1))))
+        par[vox] = host[vox[0]][0]
 
     # Parents of the rest: the unique neighbour first by key, else a tie.
     first = reduce(np.minimum, [kk[lo + s:hi + s] for s in steps])
@@ -254,7 +255,7 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
         np.copyto(par[lo:hi], idx + s, where=one & h)
     tied = idx[open_ & ~one]
     cand = np.stack([np.where(h[tied - lo], tied + s, -1) for s, h in zip(steps, hits)])
-    del r, lam, gen, R, LAM, GEN, first, hits
+    del r, lam, gen, first, hits
 
     # Labels: roots are seeds or tied voxels. On the graph compressed to
     # them (nodes: tied voxels, then labels) a tied voxel points to a

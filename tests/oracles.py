@@ -3,9 +3,9 @@
 Everything here trades speed for obviousness: plain loops, no shared
 code with the package, so the fast implementations can be checked
 against independently derived answers on small inputs. A few are the
-earlier whole-array formulations (full im2col matrix, transposed argmax
-pooling, whole-volume patch extraction) that the blocked and
-box-bounded production code must reproduce bit for bit.
+earlier formulations (the heap flood, full im2col matrix, transposed
+argmax pooling, whole-volume patch extraction) that the queue-free,
+blocked and box-bounded production code must reproduce bit for bit.
 """
 
 import heapq
@@ -203,7 +203,8 @@ def flood_heap_reference(values, seed_labels, trace=False):
     inner = (slice(1, -1),) * 3
     level, parent, order = (x.reshape(lp.shape)[inner] for x in info)
     pz, py, px = np.unravel_index(np.maximum(parent, 0), lp.shape)
-    parent = np.where(parent >= 0, np.ravel_multi_index((pz - 1, py - 1, px - 1), a.shape, mode="clip"), -1)
+    inner_index = np.ravel_multi_index((pz - 1, py - 1, px - 1), a.shape, mode="clip")
+    parent = np.where(parent >= 0, inner_index, -1)
     rank = np.where(level >= 0, rank[inner], -1)
     return out, {"rank": rank, "level": level, "parent": parent, "order": order}
 
