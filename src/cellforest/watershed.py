@@ -206,7 +206,7 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     kk = np.where(lp > 0, every - np.int64(n), lam.astype(np.int64) * (n + 1) + gen)
     par = np.where(lp > 0, every, -1)
     K, PAR, COMP = map(memoryview, (kk, par, comp))
-    host = {}  # pit voxel -> (host, position in its sub-flood)
+    host = {}  # pit voxel -> (its host, 1): it pops right after the host
 
     def before(x, y):
         """Negative if x is processed before y."""
