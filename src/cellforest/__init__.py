@@ -22,8 +22,6 @@ from .volume import (
     ScalarVolume,
     TruncatedDataError,
     VolumeFormatError,
-    VoxelIndex,
-    face_neighbors,
     normalize,
     read_volume,
     write_volume,
@@ -45,11 +43,9 @@ __all__ = [
     "ScalarVolume",
     "TruncatedDataError",
     "VolumeFormatError",
-    "VoxelIndex",
     "agglomerate",
     "build_region_graph",
     "extract_patch",
-    "face_neighbors",
     "finalize",
     "find_local_minima",
     "forest_to_labels",

@@ -38,7 +38,7 @@ from .phantom import (
     load_patch_dataset,
     save_patch_dataset,
 )
-from .preprocess import gaussian_smooth, iterative_closing
+from .preprocess import PreprocessParams, gaussian_smooth, iterative_closing
 from .resolve import finalize, resolution_report, resolve, resolve_trivial
 from .volume import LabelVolume, ScalarVolume, normalize, read_volume, write_volume
 from .watershed import find_local_minima, seeded_watershed
@@ -170,7 +170,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise CliError("config", 2, "need --v-max-um3")
     with stage("config", 2):
         params = MergeParams(v_min=v_min, v_max=args.v_max_um3)
-        sigma = _triple(args.sigma) if args.sigma else (1.0, 1.0, 1.0)
+        pre_params = PreprocessParams(_triple(args.sigma or "1"), args.r_cl_max)
 
     pre = sv = None
     if args.supervoxels_in and not args.preprocessed_in:
@@ -192,7 +192,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
             raw = _read_scalar(args.input)
         with stage("preprocess"):
             pre = iterative_closing(
-                gaussian_smooth(normalize(raw), sigma), args.r_cl_max
+                gaussian_smooth(normalize(raw), pre_params.sigma), pre_params.r_cl_max
             )
         if args.dump_stages:
             with stage("io", 3):

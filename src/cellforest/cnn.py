@@ -165,11 +165,6 @@ class CnnModel:
             if got != shape:
                 raise ValueError(f"parameter {name}: expected shape {shape}, got {got}")
 
-    @property
-    def flat_size(self) -> int:
-        side = self.input_size // 4
-        return side**3 * self.conv_channels[1]
-
 
 def expected_shapes(input_size, conv_channels, fc_units, n_classes, kernel_size=5):
     if input_size % 4 != 0:
@@ -439,8 +434,8 @@ def save_model(model: CnnModel, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        for name in PARAM_ORDER:
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+        for name in PARAM_ORDER:  # each tensor's own buffer, not a bytes copy
+            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8"))
 
 
 def load_model(path: str) -> CnnModel:

@@ -8,13 +8,19 @@ gaps in bright membranes.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 from scipy import ndimage as ndi
 
 from .volume import ScalarVolume
+
+_CHUNK = 4  # z-slices per chunk: of 2-16, the fastest closing at 96^3
 
 
 @dataclass
@@ -26,8 +32,8 @@ class PreprocessParams:
 
     def __post_init__(self):
         self.sigma = tuple(float(s) for s in self.sigma)
-        if len(self.sigma) != 3 or any(s < 0 for s in self.sigma):
-            raise ValueError(f"sigma must be three non-negative floats, got {self.sigma!r}")
+        if len(self.sigma) != 3 or not all(math.isfinite(s) and s >= 0 for s in self.sigma):
+            raise ValueError(f"sigma must be three finite non-negative floats, got {self.sigma!r}")
         if self.r_cl_max < 1:
             raise ValueError(f"r_cl_max must be >= 1, got {self.r_cl_max}")
 
@@ -67,16 +73,83 @@ def ball_offsets(radius: int) -> np.ndarray:
     return (dx * dx + dy * dy + dz * dz) <= r * r
 
 
+def ball_boxes(radius: int) -> np.ndarray:
+    """Half-widths (cz, cy, cx) of centred boxes whose union is the ball: the
+    maximal points of its positive octant (3, 4 and 6 boxes for radii 1-3)."""
+    r = int(radius)
+    pts = np.argwhere(ball_offsets(r)[r:, r:, r:])
+    return pts[(pts[:, None] <= pts[None]).all(axis=2).sum(axis=1) == 1]
+
+
+def _ax(axis: int, start=None, stop=None) -> tuple:
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _window(spans, axis, e, op, pad, alloc) -> np.ndarray:
+    """``op`` over [i - e, i + e] along ``axis`` of ``spans[0]``, padded by ``pad``.
+    ``spans[i]`` holds ``op`` over runs of 2**i voxels; two runs cover the window."""
+    j = (2 * e + 1).bit_length() - 1
+    for i in range(len(spans) - 1, j):
+        p, q = spans[i][_ax(axis, None, -(1 << i))], spans[i][_ax(axis, 1 << i)]
+        spans.append(op(p, q, out=alloc(p.shape)))
+    n, k = spans[0].shape[axis] - 2 * pad, 1 << j
+    p, q = (spans[j][_ax(axis, s, s + n)] for s in (pad - e, pad + e + 1 - k))
+    return op(p, q, out=alloc(p.shape)) if k > 1 else p
+
+
+def _filter_chunks(a, zs, out, boxes, op, pad, bufs) -> None:
+    """``op`` over the boxes into ``out[z0 : z0 + _CHUNK]`` for each z0 in ``zs``: a window
+    per axis, z first, over ``a`` read with a halo of ``pad``. Chunks reuse ``bufs``."""
+
+    def alloc(shape):  # a chunk's i-th buffer is bufs[i]
+        i, size = next(used), math.prod(shape)
+        if i == len(bufs):
+            bufs.append(np.empty(size))
+        return bufs[i][:size].reshape(shape)
+
+    nz, ny, nx = a.shape
+    for z0 in zs:
+        used, part = itertools.count(), out[z0 : z0 + _CHUNK]
+        lo, hi = max(z0 - pad, 0), min(z0 + len(part) + pad, nz)
+        start, block = lo - z0 + pad, alloc((len(part) + 2 * pad, ny + 2 * pad, nx + 2 * pad))
+        block[start : start + hi - lo, pad : pad + ny, pad : pad + nx] = a[lo:hi]
+        for axis, (s, n) in enumerate(((start, hi - lo), (pad, ny), (pad, nx))):
+            block[_ax(axis, None, s)] = block[_ax(axis, s, s + 1)]
+            block[_ax(axis, s + n)] = block[_ax(axis, s + n - 1, s + n)]
+        runs = {(): [block]}  # by the windows taken so far, shared by boxes that agree on them
+        for b, axis in itertools.product(boxes, range(3)):
+            if b[: axis + 1] not in runs:
+                runs[b[: axis + 1]] = [_window(runs[b[:axis]], axis, b[axis], op, pad, alloc)]
+        part[...] = reduce(partial(op, out=part), [runs[b][0] for b in boxes])  # copy if one box
+
+
+def box_filter(data: np.ndarray, boxes, op) -> np.ndarray:
+    """``op`` (np.maximum or np.minimum) over the union of the centred boxes [-cz, cz] x
+    [-cy, cy] x [-cx, cx], borders edge-replicated: for finite data, ``ndi.grey_dilation``
+    or ``grey_erosion`` with ``mode="nearest"`` byte for byte, except that numpy returns the
+    second operand where +0.0 and -0.0 tie (``normalize`` never yields -0.0). Runs in
+    ``_CHUNK``-slice z-chunks on a thread per usable CPU; threads do not change the result."""
+    a = np.ascontiguousarray(data, dtype=np.float64)
+    out, nz, pad = np.empty_like(a), a.shape[0], int(np.max(boxes))
+    boxes, chunks = [tuple(b) for b in np.asarray(boxes).tolist()], iter(range(0, nz, _CHUNK))
+    # A dry run of the first chunk (an op that computes nothing) sizes the scratch here,
+    # so that the memory, freed after the call, serves this thread's later arrays.
+    _filter_chunks(a, [0], out, boxes, lambda p, q, out: out, pad, first := [])
+    workers = min(len(os.sched_getaffinity(0)), len(range(0, nz, _CHUNK)))
+    scratch = [first] + [list(map(np.empty_like, first)) for _ in range(workers - 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(partial(_filter_chunks, a, chunks, out, boxes, op, pad), scratch))
+    return out
+
+
 def grayscale_dilate(v: ScalarVolume, radius: int) -> ScalarVolume:
     """Neighborhood maximum over the discrete ball; borders edge-replicated."""
-    out = ndi.grey_dilation(v.data.astype(np.float64), footprint=ball_offsets(radius), mode="nearest")
-    return ScalarVolume(out, v.spacing)
+    return ScalarVolume(box_filter(v.data, ball_boxes(radius), np.maximum), v.spacing)
 
 
 def grayscale_erode(v: ScalarVolume, radius: int) -> ScalarVolume:
     """Neighborhood minimum over the discrete ball; borders edge-replicated."""
-    out = ndi.grey_erosion(v.data.astype(np.float64), footprint=ball_offsets(radius), mode="nearest")
-    return ScalarVolume(out, v.spacing)
+    return ScalarVolume(box_filter(v.data, ball_boxes(radius), np.minimum), v.spacing)
 
 
 def closing(v: ScalarVolume, radius: int) -> ScalarVolume:

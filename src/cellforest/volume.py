@@ -49,15 +49,6 @@ def _check_spacing(spacing):
     return s
 
 
-@dataclass(frozen=True)
-class VoxelIndex:
-    """A single voxel coordinate; each component must be within the dims."""
-
-    x: int
-    y: int
-    z: int
-
-
 @dataclass
 class ScalarVolume:
     """Dense 3D intensity grid.
@@ -123,9 +114,6 @@ class LabelVolume:
     def voxel_volume(self) -> float:
         sx, sy, sz = self.spacing
         return sx * sy * sz
-
-    def max_label(self) -> int:
-        return int(self.labels.max(initial=0))
 
 
 Volume = ScalarVolume | LabelVolume
@@ -247,28 +235,3 @@ def normalize(v: ScalarVolume) -> ScalarVolume:
     else:
         data = np.zeros_like(data)
     return ScalarVolume(data, v.spacing)
-
-
-def face_neighbors(i: VoxelIndex, dims: tuple[int, int, int]) -> list[VoxelIndex]:
-    """6-neighborhood of a voxel, clipped at the volume border.
-
-    Neighbor order is x-, x+, y-, y+, z-, z+; this order also fixes the
-    queue insertion order of the watershed flood.
-    """
-    nx, ny, nz = dims
-    if not (0 <= i.x < nx and 0 <= i.y < ny and 0 <= i.z < nz):
-        raise ValueError(f"{i} outside dims {dims}")
-    out = []
-    if i.x > 0:
-        out.append(VoxelIndex(i.x - 1, i.y, i.z))
-    if i.x < nx - 1:
-        out.append(VoxelIndex(i.x + 1, i.y, i.z))
-    if i.y > 0:
-        out.append(VoxelIndex(i.x, i.y - 1, i.z))
-    if i.y < ny - 1:
-        out.append(VoxelIndex(i.x, i.y + 1, i.z))
-    if i.z > 0:
-        out.append(VoxelIndex(i.x, i.y, i.z - 1))
-    if i.z < nz - 1:
-        out.append(VoxelIndex(i.x, i.y, i.z + 1))
-    return out

@@ -38,6 +38,7 @@ from itertools import groupby
 import numpy as np
 from scipy import ndimage as ndi
 
+from .preprocess import box_filter
 from .volume import LabelVolume, ScalarVolume
 
 _CUBE = np.ones((3, 3, 3), dtype=bool)
@@ -67,32 +68,19 @@ def find_local_minima(v: ScalarVolume) -> MinimaSet:
     not a minimum, even if parts of it are locally flat.
     """
     a = np.asarray(v.data, dtype=np.float64)
-    # grey_erosion over the full 3x3x3 cube includes the center, so it is
-    # < a exactly where some 26-neighbor is strictly lower. Replicated
-    # borders never fabricate lower values.
-    eroded = ndi.grey_erosion(a, footprint=_CUBE, mode="nearest")
-    has_lower = eroded < a
+    if not np.isfinite(a).all():
+        raise ValueError("find_local_minima requires finite intensities")
+    # the minimum over the 3x3x3 cube includes the center, so it is < a
+    # exactly where some 26-neighbor is strictly lower. Replicated borders
+    # never fabricate lower values.
+    has_lower = box_filter(a, [(1, 1, 1)], np.minimum) < a
     cand = ~has_lower
 
-    # A candidate voxel adjacent to an equal-valued voxel that itself has a
-    # lower neighbor sits on a larger plateau that descends somewhere, so
-    # its whole component must be rejected. Adjacent candidates always have
-    # equal values, hence one adjacency step decides it.
-    touches_descent = np.zeros_like(cand)
-    nz, ny, nx = a.shape
-    for dz in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dz == 0 and dy == 0 and dx == 0:
-                    continue
-                src = tuple(
-                    slice(max(d, 0), n + min(d, 0)) for d, n in ((dz, nz), (dy, ny), (dx, nx))
-                )
-                dst = tuple(
-                    slice(max(-d, 0), n + min(-d, 0)) for d, n in ((dz, nz), (dy, ny), (dx, nx))
-                )
-                equal = a[dst] == a[src]
-                touches_descent[dst] |= equal & has_lower[src]
+    # A candidate next to an equal-valued voxel that has a lower neighbor
+    # sits on a plateau that descends somewhere, so its component is
+    # rejected. No neighbor of a candidate is lower, so that holds iff the
+    # least value among its neighbors with a lower neighbor is its own.
+    touches_descent = box_filter(np.where(has_lower, a, np.inf), [(1, 1, 1)], np.minimum) == a
 
     comp_labels, n_comp = ndi.label(cand, structure=_CUBE)
     bad = np.unique(comp_labels[cand & touches_descent])

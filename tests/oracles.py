@@ -64,6 +64,49 @@ def morph_reference(data, offsets, op):
     return out
 
 
+def ball_ndi_reference(data, radius, op):
+    """Grayscale dilation (``op`` "max") or erosion ("min") over the discrete
+    ball of ``radius``, edge-replicated: scipy's footprint filter, as the
+    package computed it before its separable box filter. Fast and exact."""
+    r = int(radius)
+    ax = np.arange(-r, r + 1)
+    dz, dy, dx = np.meshgrid(ax, ax, ax, indexing="ij")
+    ball = dx * dx + dy * dy + dz * dz <= r * r
+    morph = ndi.grey_dilation if op == "max" else ndi.grey_erosion
+    return morph(np.asarray(data, dtype=np.float64), footprint=ball, mode="nearest")
+
+
+def closing_ndi_reference(data, r_cl_max):
+    """Closings with balls of radius 1..r_cl_max through the footprint filter."""
+    out = np.asarray(data, dtype=np.float64)
+    for r in range(1, r_cl_max + 1):
+        out = ball_ndi_reference(ball_ndi_reference(out, r, "max"), r, "min")
+    return out
+
+
+def minima_ndi_reference(data):
+    """(seed labels, plateau values) of the 26-connected plateau minima, as
+    the package computed them before its box filter: a footprint erosion
+    over the 3x3x3 cube and one shifted comparison per 26-neighbour."""
+    a = np.asarray(data, dtype=np.float64)
+    cube = np.ones((3, 3, 3), dtype=bool)
+    has_lower = ndi.grey_erosion(a, footprint=cube, mode="nearest") < a
+    touches_descent = np.zeros_like(has_lower)
+    for d in itertools.product((-1, 0, 1), repeat=3):
+        src = tuple(slice(max(k, 0), n + min(k, 0)) for k, n in zip(d, a.shape))
+        dst = tuple(slice(max(-k, 0), n + min(-k, 0)) for k, n in zip(d, a.shape))
+        if any(d):
+            touches_descent[dst] |= (a[dst] == a[src]) & has_lower[src]
+    comp, n = ndi.label(~has_lower, structure=cube)
+    bad = np.unique(comp[~has_lower & touches_descent])
+    keep = np.setdiff1d(np.arange(1, n + 1), bad)
+    remap = np.zeros(n + 1, dtype=np.int32)
+    remap[keep] = np.arange(1, len(keep) + 1, dtype=np.int32)
+    labels = remap[comp]
+    values = [a.ravel()[np.flatnonzero(labels.ravel() == k)[0]] for k in range(1, len(keep) + 1)]
+    return labels, np.array(values, dtype=np.float64)
+
+
 def minima_reference(data):
     """Plateau-connected local minima by exhaustive plateau walking.
 

@@ -119,6 +119,35 @@ def test_bad_phantom_parameters_is_config_failure(tmp_path, capsys):
     assert "[stage config]" in err
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("sigma", "-1"), ("sigma", "nan"), ("sigma", "1,inf,1"), ("r-cl-max", "0")],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_preprocess_parameters_is_config_failure(
+    phantom, tmp_path, capsys, option, value, source
+):
+    # a negative or non-finite sigma used to skip smoothing on that axis
+    # silently (exit 0), and --r-cl-max 0 failed later in stage preprocess
+    extra = [f"--{option}", value]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        extra = ["--config", str(cfg)]
+    rc, _, err = run(
+        capsys,
+        "segment",
+        f"{phantom}.image.mvol.json",
+        "--output-prefix",
+        str(tmp_path / "out"),
+        *SEG_FLAGS,
+        *extra,
+    )
+    assert rc == 2
+    assert err.startswith("error [stage config]:")
+    assert not list(tmp_path.glob("out*"))
+
+
 # ---------------------------------------------------------------------------
 # config files
 

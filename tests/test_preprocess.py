@@ -1,9 +1,19 @@
+import hashlib
+import importlib
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage as ndi
 
+from cellforest.phantom import PhantomParams, generate_phantom
 from cellforest.preprocess import (
     PreprocessParams,
+    ball_boxes,
     ball_offsets,
+    box_filter,
     closing,
     gaussian_kernel_1d,
     gaussian_smooth,
@@ -12,9 +22,12 @@ from cellforest.preprocess import (
     iterative_closing,
     preprocess,
 )
-from cellforest.volume import ScalarVolume
+from cellforest.volume import ScalarVolume, normalize
 
-from oracles import blur_reference, morph_reference
+from oracles import ball_ndi_reference, blur_reference, closing_ndi_reference, morph_reference
+
+# the module, not the function of the same name that the package exports
+pp = importlib.import_module("cellforest.preprocess")
 
 
 def ball_to_offsets(radius):
@@ -155,9 +168,13 @@ def test_closing_commutes_with_intensity_shift():
     np.testing.assert_allclose(shifted, base + 0.3, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_params_reject_negative_or_non_finite_sigma(bad):
+    with pytest.raises(ValueError, match="finite non-negative"):
+        PreprocessParams(sigma=(1.0, bad, 1.0))
+
+
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PreprocessParams(sigma=(-1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         PreprocessParams(r_cl_max=0)
 
@@ -168,3 +185,98 @@ def test_preprocess_pipeline_composition():
     params = PreprocessParams(sigma=(1.0, 1.0, 1.0), r_cl_max=2)
     manual = iterative_closing(gaussian_smooth(v, params.sigma), params.r_cl_max)
     np.testing.assert_array_equal(preprocess(v, params).data, manual.data)
+
+
+# --- the separable box filter behind dilation, erosion and minima -----------
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, 6])
+def test_ball_is_the_union_of_its_boxes(radius):
+    boxes = ball_boxes(radius)
+    union = np.zeros_like(ball_offsets(radius))
+    for cz, cy, cx in boxes:
+        r = radius
+        union[r - cz : r + cz + 1, r - cy : r + cy + 1, r - cx : r + cx + 1] = True
+    np.testing.assert_array_equal(union, ball_offsets(radius))
+
+
+def test_ball_box_counts():
+    assert [len(ball_boxes(r)) for r in (1, 2, 3)] == [3, 4, 6]
+
+
+@st.composite
+def morph_volumes(draw):
+    """1-20 voxels per axis, so z runs past one or two chunks or falls short
+    of the radius; raw, or quantized to a few levels so that values tie."""
+    shape = draw(st.tuples(*[st.integers(1, 20)] * 3))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
+    levels = draw(st.sampled_from([0, 1, 2, 3, 7]))
+    return np.round(data * levels) / levels if levels else data
+
+
+@settings(max_examples=120, deadline=None)
+@given(morph_volumes(), st.integers(1, 4))
+def test_ball_morphology_matches_ndi_reference_property(data, radius):
+    v = ScalarVolume(data)
+    for morph, op in ((grayscale_dilate, "max"), (grayscale_erode, "min")):
+        out = morph(v, radius).data
+        assert out.tobytes() == ball_ndi_reference(data, radius, op).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(morph_volumes(), st.integers(1, 3))
+def test_iterative_closing_matches_ndi_reference_property(data, r_cl_max):
+    out = iterative_closing(ScalarVolume(data), r_cl_max).data
+    assert out.tobytes() == closing_ndi_reference(data, r_cl_max).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64])
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_box_filter_independent_of_chunk_height_and_threads(monkeypatch, chunk, cpus):
+    # a halo of 4 slices around chunks of 1 slice reaches across several
+    # chunks; 19 slices leave a short tail for every height but 1. More
+    # threads than cores, switching often, share the queue of chunks.
+    data = np.round(np.random.default_rng(chunk).random((19, 7, 6)) * 5) / 5
+    monkeypatch.setattr(pp, "_CHUNK", chunk)
+    monkeypatch.setattr(pp.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for radius in (1, 4):
+            out = box_filter(data, ball_boxes(radius), np.maximum)
+            assert out.tobytes() == ball_ndi_reference(data, radius, "max").tobytes()
+        cube = box_filter(data, [(1, 1, 1)], np.minimum)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(cube, ndi.grey_erosion(data, size=3, mode="nearest"))
+
+
+def test_signed_zero_ties_follow_numpy_operand_order():
+    # np.maximum and np.minimum return their second operand when +0.0 and
+    # -0.0 tie; the footprint filter keeps the first zero it met
+    assert np.signbit(np.maximum(0.0, -0.0)) and not np.signbit(np.maximum(-0.0, 0.0))
+    data = np.zeros((2, 2, 2))
+    data[1, 0, 1] = -0.0
+    for morph, op in ((grayscale_dilate, "max"), (grayscale_erode, "min")):
+        out, ref = morph(ScalarVolume(data), 1).data, ball_ndi_reference(data, 1, op)
+        np.testing.assert_array_equal(out, ref)  # equal values: +0.0 == -0.0
+        # the z window comes last, so (0, 0, 1) takes the -0.0 below it
+        assert np.argwhere(np.signbit(out)).tolist() == [[0, 0, 1], [1, 0, 1]]
+        assert not np.signbit(ref).any()
+    # the pipeline never meets such a tie: normalize yields no -0.0
+    v = normalize(ScalarVolume(np.array([-0.0, 0.0, -0.0, 2.0]).reshape(1, 1, 4)))
+    assert not np.signbit(v.data).any()
+
+
+def test_preprocess_pinned_on_phantom():
+    # recorded with the footprint filters (ndi.grey_dilation/grey_erosion)
+    img, _ = generate_phantom(
+        PhantomParams(
+            dims=(48, 48, 48), n_cells=12, membrane_width=1,
+            noise_sigma=0.05, blur_sigma=0.6, seed=11,
+        )
+    )
+    pre = preprocess(img).data
+    assert not np.signbit(pre).any()
+    digest = hashlib.sha256(pre.astype("<f8").tobytes()).hexdigest()
+    assert digest == "b5c610b64d46c539019af719bc0a4d5f43fd2656c31b673af3428f3ec8c09109"

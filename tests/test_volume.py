@@ -8,8 +8,6 @@ from cellforest.volume import (
     ScalarVolume,
     TruncatedDataError,
     VolumeFormatError,
-    VoxelIndex,
-    face_neighbors,
     normalize,
     read_volume,
     write_volume,
@@ -162,24 +160,3 @@ def test_normalize_idempotent():
     once = normalize(v)
     twice = normalize(once)
     np.testing.assert_allclose(twice.data, once.data, atol=1e-12)
-
-
-def test_face_neighbors_corner_interior_degenerate():
-    assert len(face_neighbors(VoxelIndex(0, 0, 0), (3, 3, 3))) == 3
-    assert len(face_neighbors(VoxelIndex(1, 1, 1), (3, 3, 3))) == 6
-    assert face_neighbors(VoxelIndex(0, 0, 0), (1, 1, 1)) == []
-
-
-def test_face_neighbors_symmetric():
-    dims = (3, 4, 2)
-    for x in range(dims[0]):
-        for y in range(dims[1]):
-            for z in range(dims[2]):
-                i = VoxelIndex(x, y, z)
-                for j in face_neighbors(i, dims):
-                    assert i in face_neighbors(j, dims)
-
-
-def test_face_neighbors_outside_raises():
-    with pytest.raises(ValueError):
-        face_neighbors(VoxelIndex(3, 0, 0), (3, 3, 3))

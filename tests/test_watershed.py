@@ -12,7 +12,12 @@ from cellforest.preprocess import preprocess
 from cellforest.volume import ScalarVolume
 from cellforest.watershed import MinimaSet, find_local_minima, seeded_watershed
 
-from oracles import flood_heap_reference, flood_reference, minima_reference
+from oracles import (
+    flood_heap_reference,
+    flood_reference,
+    minima_ndi_reference,
+    minima_reference,
+)
 
 
 def as_volume(data):
@@ -141,6 +146,31 @@ def test_watershed_matches_flood_reference_distinct_values(seed):
     np.testing.assert_array_equal(
         seeded_watershed(v, m).labels, flood_reference(data, m.seed_labels)
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(*[st.integers(1, 20)] * 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 2, 3, 6]),
+)
+def test_minima_match_ndi_reference_property(shape, seed, levels):
+    # shapes past one or two chunks of the box filter; quantized values tie
+    data = np.random.default_rng(seed).random(shape)
+    if levels:
+        data = np.round(data * levels) / levels
+    m = find_local_minima(as_volume(data))
+    labels, values = minima_ndi_reference(data)
+    np.testing.assert_array_equal(m.seed_labels, labels)
+    assert m.plateau_values.tobytes() == values.tobytes()
+
+
+def test_minima_reject_non_finite():
+    data = np.array([3, 1, 3, 2, 3], dtype=float).reshape(1, 1, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        data[0, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            find_local_minima(as_volume(data))
 
 
 @st.composite
