@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .classify import ClassProbs, Patch, extract_patch, heuristic_probs, hypothesis_classifier
+from .cli import segment
 from .graph import RegionGraph, build_region_graph
 from .merging import (
     MergeForest,
@@ -15,7 +16,7 @@ from .merging import (
 )
 from .metrics import MatchReport, layer_report, match_segments
 from .phantom import PhantomParams, generate_patch_dataset, generate_phantom
-from .preprocess import PreprocessParams, gaussian_smooth, iterative_closing, preprocess
+from .preprocess import PreprocessParams, gaussian_smooth, iterative_closing
 from .resolve import Resolution, finalize, resolve, resolve_trivial
 from .volume import (
     LabelVolume,
@@ -59,11 +60,11 @@ __all__ = [
     "load_forest",
     "match_segments",
     "normalize",
-    "preprocess",
     "read_volume",
     "resolve",
     "resolve_trivial",
     "save_forest",
+    "segment",
     "seeded_watershed",
     "v_min_from_radius",
     "write_volume",

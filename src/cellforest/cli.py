@@ -7,12 +7,15 @@ Subcommands::
     cellforest train    --dataset patches/ --model-out model.cnn
     cellforest eval     pred.mvol.json truth.mvol.json
 
-``segment`` runs normalize -> Gaussian smoothing -> iterative closing ->
-minima detection -> watershed -> region graph -> agglomeration ->
-optional classifier-guided resolution -> final labels. Only the volume
-bounds (v_min / v_max, or r_min to derive v_min) are mandatory;
-everything else defaults. Options can come from a ``key = value`` config
-file (``--config``), with command-line flags taking precedence.
+``segment`` wraps the library driver :func:`segment`: normalize ->
+Gaussian smoothing -> iterative closing -> minima detection -> watershed
+-> region graph -> agglomeration -> optional classifier-guided
+resolution -> final labels. The driver calls each stage through this
+module's names, which ``perfbench/tracing.py`` wraps to time them. Only
+the volume bounds (v_min / v_max, or r_min to derive v_min) are
+mandatory; everything else defaults. Options can come from a
+``key = value`` config file (``--config``), with command-line flags
+taking precedence.
 
 Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 stage
 failure; errors name the stage that failed.
@@ -23,13 +26,16 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import hypothesis_classifier
 from .cnn import DatasetError, TrainConfig, load_model, save_model, train
 from .graph import build_region_graph
-from .merging import MergeParams, agglomerate, load_forest, save_forest, v_min_from_radius
+from .merging import (
+    MergeForest, MergeParams, agglomerate, load_forest, save_forest, v_min_from_radius
+)
 from .metrics import format_table, layer_report, match_segments, report_json
 from .phantom import (
     PhantomParams,
@@ -39,7 +45,7 @@ from .phantom import (
     save_patch_dataset,
 )
 from .preprocess import PreprocessParams, gaussian_smooth, iterative_closing
-from .resolve import finalize, resolution_report, resolve, resolve_trivial
+from .resolve import Resolution, finalize, resolution_report, resolve, resolve_trivial
 from .volume import LabelVolume, ScalarVolume, normalize, read_volume, write_volume
 from .watershed import find_local_minima, seeded_watershed
 
@@ -145,111 +151,106 @@ def _read_labels(path: str) -> LabelVolume:
     return vol
 
 
+CLASSIFIERS = ("none", "heuristic", "cnn")
+
+
+@dataclass
+class Run:
+    """What :func:`segment` computed or was given, stage by stage."""
+
+    pre: ScalarVolume
+    sv: LabelVolume
+    forest: MergeForest
+    resolution: Resolution
+    labels: LabelVolume
+
+
+def segment(
+    volume: ScalarVolume | None, params: MergeParams, pre_params: PreprocessParams | None = None,
+    classifier: str = "none", model_path: str | None = None, pre: ScalarVolume | None = None,
+    sv: LabelVolume | None = None, forest: MergeForest | None = None,
+) -> Run:
+    """The pipeline: normalize -> smooth -> close -> minima -> flood -> region graph
+    -> agglomerate -> tree cut by ``classifier`` (the CNN read from ``model_path``)
+    -> final labels. A given ``pre``, ``sv`` or ``forest`` replaces the stages that
+    make it (``volume`` is then unused); a given forest must have the supervoxels'
+    leaf voxel counts. Failures raise :class:`CliError` naming the stage."""
+    if classifier not in CLASSIFIERS:
+        raise CliError("config", 2, f"unknown classifier {classifier!r}")
+    if classifier == "cnn" and not model_path:
+        raise CliError("config", 2, "classifier cnn requires a model path (--model-path)")
+    if pre is None:
+        pre_params = pre_params or PreprocessParams()
+        with stage("preprocess"):
+            pre = iterative_closing(
+                gaussian_smooth(normalize(volume), pre_params.sigma), pre_params.r_cl_max
+            )
+    if sv is None:
+        with stage("watershed"):
+            sv = seeded_watershed(pre, find_local_minima(pre))
+    if forest is None:
+        with stage("merge"):
+            forest = agglomerate(build_region_graph(sv, pre), params)
+    else:
+        with stage("data"):
+            counts = np.bincount(sv.labels.ravel(), minlength=forest.n_leaves + 1)[1:]
+            leaf_counts = [forest.nodes[i].voxel_count for i in range(1, forest.n_leaves + 1)]
+            if not np.array_equal(counts, leaf_counts):
+                raise ValueError("forest leaf voxel counts disagree with the supervoxels")
+    with stage("resolve"):
+        if classifier == "none":
+            resolution = resolve_trivial(forest)
+        else:
+            with stage("io", 3):
+                model = load_model(model_path) if classifier == "cnn" else None
+            classify_fn = hypothesis_classifier(pre, forest, sv, model=model, merge_params=params)
+            resolution = resolve(forest, classify_fn)
+        labels = finalize(forest, resolution, sv)
+    return Run(pre, sv, forest, resolution, labels)
+
+
 def cmd_segment(args: argparse.Namespace) -> int:
     _apply_config(args)
-    if args.seed is None:
-        args.seed = 0
-    if args.r_cl_max is None:
-        args.r_cl_max = 3
-    if args.classifier is None:
-        args.classifier = "none"
-    if args.classifier not in ("none", "heuristic", "cnn"):
-        raise CliError("config", 2, f"unknown classifier {args.classifier!r}")
-    if args.classifier == "cnn" and not args.model_path:
-        raise CliError("config", 2, "--classifier cnn requires --model-path")
+    classifier = args.classifier or "none"
     if not args.output_prefix:
         raise CliError("config", 2, "--output-prefix is required")
-    if args.v_min_um3 is not None:
-        v_min = args.v_min_um3
-    elif args.r_min_um is not None:
-        with stage("config", 2):
-            v_min = v_min_from_radius(args.r_min_um)
-    else:
+    if args.v_min_um3 is None and args.r_min_um is None:
         raise CliError("config", 2, "need --v-min-um3 or --r-min-um")
     if args.v_max_um3 is None:
         raise CliError("config", 2, "need --v-max-um3")
     with stage("config", 2):
+        v_min = args.v_min_um3 if args.v_min_um3 is not None else v_min_from_radius(args.r_min_um)
+        given = {"sigma": _triple(args.sigma) if args.sigma else None, "r_cl_max": args.r_cl_max}
         params = MergeParams(v_min=v_min, v_max=args.v_max_um3)
-        pre_params = PreprocessParams(_triple(args.sigma or "1"), args.r_cl_max)
+        pre_params = PreprocessParams(**{k: v for k, v in given.items() if v is not None})
 
-    pre = sv = None
     if args.supervoxels_in and not args.preprocessed_in:
         raise CliError("config", 2, "--supervoxels-in requires --preprocessed-in")
-    if args.forest_in:
-        if not args.supervoxels_in:
-            raise CliError("config", 2, "--forest-in requires --supervoxels-in")
-        if args.classifier != "none" and not args.preprocessed_in:
-            raise CliError("config", 2, "--forest-in with a classifier requires --preprocessed-in")
+    if args.forest_in and not args.supervoxels_in:
+        raise CliError("config", 2, "--forest-in requires --supervoxels-in")
     if not (args.input or args.preprocessed_in):
         raise CliError("config", 2, "need an input volume or a stage artifact to resume from")
 
-    prefix = args.output_prefix
-    if args.preprocessed_in:
-        with stage("io", 3):
-            pre = _read_scalar(args.preprocessed_in)
-    else:
-        with stage("io", 3):
-            raw = _read_scalar(args.input)
-        with stage("preprocess"):
-            pre = iterative_closing(
-                gaussian_smooth(normalize(raw), pre_params.sigma), pre_params.r_cl_max
-            )
-        if args.dump_stages:
-            with stage("io", 3):
-                write_volume(pre, f"{prefix}.pre.mvol.json")
-
-    if args.supervoxels_in:
-        with stage("io", 3):
-            sv = _read_labels(args.supervoxels_in)
-    else:
-        with stage("watershed"):
-            sv = seeded_watershed(pre, find_local_minima(pre))
-        if args.dump_stages:
-            with stage("io", 3):
-                write_volume(sv, f"{prefix}.sv.mvol.json")
-
-    if args.forest_in:
-        with stage("io", 3):
-            forest = load_forest(args.forest_in)
-        leaf_counts = [forest.nodes[i].voxel_count for i in range(1, forest.n_leaves + 1)]
-        if sv.labels.max() > forest.n_leaves or not np.array_equal(
-            np.bincount(sv.labels.ravel())[1:], leaf_counts
-        ):
-            raise CliError(
-                "data", 4, f"{args.forest_in}: leaf voxel counts disagree with the supervoxels"
-            )
-    else:
-        with stage("merge"):
-            graph = build_region_graph(sv, pre)
-            forest = agglomerate(graph, params)
-
-    with stage("resolve"):
-        if args.classifier == "none":
-            resolution = resolve_trivial(forest)
-        else:
-            model = None
-            if args.classifier == "cnn":
-                with stage("io", 3):
-                    model = load_model(args.model_path)
-            classify_fn = hypothesis_classifier(
-                pre, forest, sv, model=model, merge_params=params
-            )
-            resolution = resolve(forest, classify_fn)
-        final = finalize(forest, resolution, sv)
-
     with stage("io", 3):
-        write_volume(final, f"{prefix}.labels.mvol.json")
-        save_forest(forest, f"{prefix}.forest.txt")
-        report = (
-            f"classifier: {args.classifier}\n"
-            f"seed: {args.seed}\n"
-            f"supervoxels: {forest.n_leaves}\n"
-            f"forest roots: {len(forest.roots)}\n"
-            + resolution_report(forest, resolution)
-        )
+        pre = _read_scalar(args.preprocessed_in) if args.preprocessed_in else None
+        raw = _read_scalar(args.input) if pre is None else None
+        sv = _read_labels(args.supervoxels_in) if args.supervoxels_in else None
+        forest = load_forest(args.forest_in) if args.forest_in else None
+    run = segment(raw, params, pre_params, classifier, args.model_path, pre, sv, forest)
+
+    prefix = args.output_prefix
+    with stage("io", 3):
+        if args.dump_stages and pre is None:
+            write_volume(run.pre, f"{prefix}.pre.mvol.json")
+        if args.dump_stages and sv is None:
+            write_volume(run.sv, f"{prefix}.sv.mvol.json")
+        write_volume(run.labels, f"{prefix}.labels.mvol.json")
+        save_forest(run.forest, f"{prefix}.forest.txt")
         with open(f"{prefix}.report.txt", "w") as fh:
-            fh.write(report)
-    print(f"wrote {prefix}.labels.mvol.json ({len(resolution.selected)} segments)")
+            fh.write(f"classifier: {classifier}\nseed: {args.seed or 0}\n"
+                     f"supervoxels: {run.forest.n_leaves}\nforest roots: {len(run.forest.roots)}\n")
+            fh.write(resolution_report(run.forest, run.resolution))
+    print(f"wrote {prefix}.labels.mvol.json ({len(run.resolution.selected)} segments)")
     return 0
 
 
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="Gaussian sigma in voxels, one value or x,y,z")
     p.add_argument("--r-cl-max", type=int, default=None, help="largest closing radius (voxels)")
     p.add_argument(
-        "--classifier", default=None, choices=("none", "heuristic", "cnn"),
+        "--classifier", default=None, choices=CLASSIFIERS,
         help="under-segmentation correction (default none)",
     )
     p.add_argument("--model-path", help="trained model file for --classifier cnn")

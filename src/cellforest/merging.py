@@ -22,6 +22,9 @@ from .graph import RegionGraph
 from .volume import LabelVolume
 
 
+_EPSILON_DIV = 1e-6  # guards degenerate denominators in the boundary feature
+
+
 class ExactCoverError(ValueError):
     """A node selection is not an exact cover of the forest leaves."""
 
@@ -39,23 +42,15 @@ class MergeParams:
 
     ``v_min`` is the volume of the smallest admissible object (derivable
     from a radius via :func:`v_min_from_radius`); no merged region may
-    exceed ``v_max``. ``epsilon_div`` guards degenerate denominators in
-    the boundary feature.
+    exceed ``v_max``.
     """
 
     v_min: float
     v_max: float
-    epsilon_div: float = 1e-6
 
     def __post_init__(self):
         if not (0 < self.v_min < self.v_max):
             raise ValueError(f"need 0 < v_min < v_max, got {self.v_min}, {self.v_max}")
-        if not self.epsilon_div > 0:
-            raise ValueError("epsilon_div must be positive")
-
-    @classmethod
-    def from_radius(cls, r_min: float, v_max: float, epsilon_div: float = 1e-6) -> "MergeParams":
-        return cls(v_min_from_radius(r_min), v_max, epsilon_div)
 
 
 def feature_v_min(i: int, j: int, graph: RegionGraph, params: MergeParams) -> float:
@@ -107,7 +102,7 @@ def feature_boundary(i: int, j: int, graph: RegionGraph, params: MergeParams) ->
     mu_bdry = outer_sum / outer_pairs
 
     denom = abs(mu_cmn - mu_bdry)
-    if denom < params.epsilon_div:
+    if denom < _EPSILON_DIV:
         return 1.0
     return min(1.0, abs(mu_cmn - mu_total) / denom)
 

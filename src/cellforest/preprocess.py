@@ -23,6 +23,13 @@ from .volume import ScalarVolume
 _CHUNK = 4  # z-slices per chunk: of 2-16, the fastest closing at 96^3
 
 
+def _check_sigma(sigma) -> tuple[float, float, float]:
+    sigma = tuple(float(s) for s in sigma)
+    if len(sigma) != 3 or not all(math.isfinite(s) and s >= 0 for s in sigma):
+        raise ValueError(f"sigma must be three finite non-negative floats, got {sigma!r}")
+    return sigma
+
+
 @dataclass
 class PreprocessParams:
     """Smoothing sigma per axis (x, y, z, in voxels) and maximum closing radius."""
@@ -31,9 +38,7 @@ class PreprocessParams:
     r_cl_max: int = 3
 
     def __post_init__(self):
-        self.sigma = tuple(float(s) for s in self.sigma)
-        if len(self.sigma) != 3 or not all(math.isfinite(s) and s >= 0 for s in self.sigma):
-            raise ValueError(f"sigma must be three finite non-negative floats, got {self.sigma!r}")
+        self.sigma = _check_sigma(self.sigma)
         if self.r_cl_max < 1:
             raise ValueError(f"r_cl_max must be >= 1, got {self.r_cl_max}")
 
@@ -52,8 +57,10 @@ def gaussian_smooth(v: ScalarVolume, sigma=(1.0, 1.0, 1.0)) -> ScalarVolume:
     """Separable Gaussian smoothing with edge-replicated borders.
 
     ``sigma`` is (sx, sy, sz) in voxels; a zero component is the identity
-    along that axis. Output is clamped to [0, 1].
+    along that axis; a negative or non-finite one raises ValueError. Output
+    is clamped to [0, 1].
     """
+    sigma = _check_sigma(sigma)
     data = v.data.astype(np.float64)
     # data axes are (z, y, x); sigma is given per (x, y, z)
     for axis, s in zip((2, 1, 0), sigma):
@@ -171,8 +178,3 @@ def iterative_closing(v: ScalarVolume, r_cl_max: int = 3) -> ScalarVolume:
         out = closing(out, r)
     return out
 
-
-def preprocess(v: ScalarVolume, params: PreprocessParams | None = None) -> ScalarVolume:
-    """Gaussian smoothing followed by iterative closing."""
-    params = params or PreprocessParams()
-    return iterative_closing(gaussian_smooth(v, params.sigma), params.r_cl_max)

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from cellforest.classify import ClassProbs, hypothesis_classifier
-from cellforest.cli import main as cli_main
+from cellforest.classify import ClassProbs
+from cellforest.cli import main as cli_main, segment
 from cellforest.cnn import (
     PARAM_ORDER,
     TrainConfig,
@@ -41,8 +41,8 @@ from cellforest.phantom import (
     generate_phantom,
     membrane_mask,
 )
-from cellforest.preprocess import PreprocessParams, preprocess
-from cellforest.resolve import finalize, resolve, resolve_trivial
+from cellforest.preprocess import gaussian_smooth, iterative_closing
+from cellforest.resolve import resolve
 from cellforest.volume import LabelVolume, ScalarVolume, read_volume, write_volume
 from cellforest.watershed import find_local_minima, seeded_watershed
 
@@ -189,7 +189,7 @@ def test_agglomeration_stats_match_rebuild_after_every_merge():
         img, _ = generate_phantom(p)
         # gentle smoothing keeps plenty of basins; a high v_min then forces
         # a long forced-merge phase so the audit sees many increments
-        pre = preprocess(img, PreprocessParams(sigma=(0.7, 0.7, 0.7), r_cl_max=1))
+        pre = iterative_closing(gaussian_smooth(img, (0.7, 0.7, 0.7)), 1)
         sv = seeded_watershed(pre, find_local_minima(pre))
         graph = build_region_graph(sv, pre)
 
@@ -241,8 +241,8 @@ def test_supervoxels_stay_inside_ground_truth_cells():
             seed=seed,
         )
         img, truth = generate_phantom(p)
-        pre = preprocess(img)
-        sv = seeded_watershed(pre, find_local_minima(pre))
+        # the merge bounds do not change the supervoxels
+        sv = segment(img, MergeParams(v_min=5000.0, v_max=24000.0)).sv
 
         n_sv = int(sv.labels.max())
         interior = ~membrane_mask(truth.labels, p.membrane_width)
@@ -293,17 +293,14 @@ def test_fscore_improves_at_each_pipeline_stage():
     rows = []
     for seed in LADDER_SEEDS:
         img, truth = generate_phantom(PhantomParams(seed=seed, **LADDER_PHANTOM))
-        pre = preprocess(img)
-        sv = seeded_watershed(pre, find_local_minima(pre))
         params = MergeParams(**LADDER_MERGE)
-        forest = agglomerate(build_region_graph(sv, pre), params)
+        run = segment(img, params, classifier="heuristic")
+        # the same forest, cut at its roots
+        fused = segment(None, params, pre=run.pre, sv=run.sv, forest=run.forest).labels
 
-        f_watershed = match_segments(sv, truth).f_score
-        fused = finalize(forest, resolve_trivial(forest), sv)
+        f_watershed = match_segments(run.sv, truth).f_score
         f_fused = match_segments(fused, truth).f_score
-        classify = hypothesis_classifier(pre, forest, sv, merge_params=params)
-        corrected = finalize(forest, resolve(forest, classify), sv)
-        f_corrected = match_segments(corrected, truth).f_score
+        f_corrected = match_segments(run.labels, truth).f_score
         rows.append((f_watershed, f_fused, f_corrected))
     mean = np.mean(rows, axis=0)
     elapsed = time.perf_counter() - t0

@@ -1,8 +1,13 @@
 """Command-line behavior: exit codes, config handling, artifacts."""
 
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cellforest import cli
 from cellforest.cli import load_config, main
 from cellforest.metrics import match_segments
 from cellforest.volume import ScalarVolume, read_volume, write_volume
@@ -438,6 +443,39 @@ def test_resume_dependency_validation(phantom, tmp_path, capsys):
     )
     assert rc == 2
     assert "preprocessed-in" in err
+    # --forest-in needs --supervoxels-in, which needs --preprocessed-in
+    rc, _, err = run(capsys, "segment", "--supervoxels-in", "a", "--forest-in", "b",
+                     "--classifier", "heuristic", "--output-prefix", str(tmp_path / "out"),
+                     *SEG_FLAGS)
+    assert rc == 2
+    assert "--supervoxels-in requires --preprocessed-in" in err
+
+
+def benchmark_cli_hooks():
+    """The ``cellforest.cli`` names that ``perfbench/tracing.py`` wraps to time stages."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [attr for module, attr, *_ in tracing.TARGETS if module == "cellforest.cli"]
+
+
+def test_benchmark_hooks_see_each_stage_once(phantom, tmp_path, capsys, monkeypatch):
+    names = benchmark_cli_hooks()
+    assert [n for n in names if not hasattr(cli, n)] == []
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    rc, _, _ = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
+                   str(tmp_path / "out"), "--classifier", "heuristic", *SEG_FLAGS)
+    assert rc == 0
+    stages = ["normalize", "gaussian_smooth", "iterative_closing", "find_local_minima",
+              "seeded_watershed", "build_region_graph", "agglomerate", "resolve", "finalize"]
+    assert {n: calls[n] for n in stages} == dict.fromkeys(stages, 1)
 
 
 def test_segment_with_heuristic_classifier(phantom, tmp_path, capsys):

@@ -73,8 +73,6 @@ def test_merge_params_validation():
         MergeParams(v_min=0.0, v_max=10.0)
     with pytest.raises(ValueError):
         MergeParams(v_min=5.0, v_max=5.0)
-    p = MergeParams.from_radius(r_min=1.5, v_max=100.0)
-    assert p.v_min == pytest.approx(v_min_from_radius(1.5))
 
 
 # ---------------------------------------------------------------------------
