@@ -142,12 +142,12 @@ def build_region_graph(lv: LabelVolume, v: ScalarVolume) -> RegionGraph:
     if k < 1 or int(labels.min()) < 1:
         raise ValueError("labels must cover every voxel with ids >= 1")
     flat = labels.ravel()
-    if len(np.unique(flat)) != k:
+    counts = np.bincount(flat, minlength=k + 1)
+    if not counts[1:].all():
         raise ValueError(f"labels must be contiguous 1..{k}")
     values = np.asarray(v.data, dtype=np.float64)
 
     graph = RegionGraph(v.voxel_volume)
-    counts = np.bincount(flat, minlength=k + 1)
     sums = np.bincount(flat, weights=values.ravel(), minlength=k + 1)
     for i in range(1, k + 1):
         graph.add_node(

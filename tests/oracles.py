@@ -4,8 +4,10 @@ Everything here trades speed for obviousness: plain loops, no shared
 code with the package, so the fast implementations can be checked
 against independently derived answers on small inputs. A few are the
 earlier formulations (the heap flood, full im2col matrix, transposed
-argmax pooling, whole-volume patch extraction) that the queue-free,
-blocked and box-bounded production code must reproduce bit for bit.
+argmax pooling, whole-volume patch extraction, the all-sites Voronoi
+scan, the looped site placement and touching pairs) that the queue-free,
+blocked, box-bounded and block-pruned production code must reproduce
+bit for bit.
 """
 
 import heapq
@@ -312,6 +314,71 @@ def voronoi_reference(sites_zyx, dims_xyz, spacing_xyz):
                         best = k + 1
                 labels[z, y, x] = best
     return labels
+
+
+def voronoi_scan_reference(sites, params):
+    """Nearest-site labels by scanning every site over the whole grid.
+
+    The earlier production formulation that the block-pruned labelling
+    must reproduce bit for bit: per voxel the distance is
+    ``((zz - pz)**2 + (yy - py)**2) + (xx - px)**2`` in physical units,
+    and a strict ``<`` in site order gives ties to the lowest index.
+    """
+    nx, ny, nz = params.dims
+    sx, sy, sz = params.spacing
+    scale = np.array([sz, sy, sx])
+    zz, yy, xx = np.meshgrid(
+        np.arange(nz) * sz, np.arange(ny) * sy, np.arange(nx) * sx, indexing="ij"
+    )
+    best_d2 = np.full((nz, ny, nx), np.inf)
+    labels = np.zeros((nz, ny, nx), dtype=np.uint32)
+    for k, site in enumerate(sites):
+        pz, py, px = site * scale
+        d2 = (zz - pz) ** 2 + (yy - py) ** 2 + (xx - px) ** 2
+        closer = d2 < best_d2
+        best_d2[closer] = d2[closer]
+        labels[closer] = k + 1
+    return labels
+
+
+def place_sites_reference(params, rng):
+    """Rejection-sample sites one draw at a time, testing each candidate
+    against every placed site in a Python loop (the earlier formulation)."""
+    nx, ny, nz = params.dims
+    extent = np.array([nz, ny, nx], dtype=np.float64)
+    min_sep2 = (2.0 * params.membrane_width) ** 2
+    sites = []
+    rejects = 0
+    while len(sites) < params.n_cells:
+        cand = rng.random(3) * extent
+        if any(np.sum((cand - s) ** 2) < min_sep2 for s in sites):
+            rejects += 1
+            if rejects >= 10_000:
+                raise ValueError(
+                    f"could not place {params.n_cells} sites at separation "
+                    f"{2 * params.membrane_width} in dims {params.dims}"
+                )
+            continue
+        rejects = 0
+        sites.append(cand)
+    return np.array(sites)
+
+
+def touching_pairs_reference(labels):
+    """Sorted unique (lower, higher) label pairs across every face, by a
+    Python loop over the label-change voxel pairs."""
+    pairs = set()
+    for axis in range(3):
+        lo = [slice(None)] * 3
+        hi = [slice(None)] * 3
+        lo[axis] = slice(None, -1)
+        hi[axis] = slice(1, None)
+        a = labels[tuple(lo)].ravel()
+        b = labels[tuple(hi)].ravel()
+        neq = a != b
+        for x, y in zip(a[neq], b[neq]):
+            pairs.add((min(int(x), int(y)), max(int(x), int(y))))
+    return sorted(pairs)
 
 
 def conv3d_reference(x, w, b):

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, config handling, artifacts."""
 
+import hashlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -122,6 +123,42 @@ def test_bad_phantom_parameters_is_config_failure(tmp_path, capsys):
     )
     assert rc == 2
     assert "[stage config]" in err
+
+
+@pytest.mark.parametrize("spacing", ["0", "-1", "nan", "1,1,inf"])
+def test_bad_phantom_spacing_is_config_failure(tmp_path, capsys, spacing):
+    # used to render the whole Voronoi first and exit 4 in stage synth
+    rc, _, err = run(capsys, "synth", "--output-prefix", str(tmp_path / "p"),
+                     "--dims", "8", "--n-cells", "2", "--spacing", spacing)
+    assert rc == 2
+    assert err.startswith("error [stage config]:")
+    assert not list(tmp_path.iterdir())
+
+
+# sha256 over the names and bytes of a ``synth --patches-dir`` directory
+# (seed 2), recorded when the patch cutter rendered its own phantom.
+PATCH_DIR_SHA256 = "2d435e71e8c8052c6ae9cdc15c42820a4ad7e25b2024e7ab3dcc6f458e082277"
+
+
+def test_synth_with_patches_renders_the_phantom_once(tmp_path, capsys, monkeypatch):
+    from cellforest import phantom as phantom_module
+
+    renders = Counter()
+    for module in (cli, phantom_module):
+        def counted(*args, _fn=module.generate_phantom, **kwargs):
+            renders["phantom"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, "generate_phantom", counted)
+    rc, _, _ = run(capsys, "synth", "--output-prefix", str(tmp_path / "tp"), "--seed", "2",
+                   "--dims", "32", "--n-cells", "8", "--blur-sigma", "0.5",
+                   "--patches-dir", str(tmp_path / "patches"), "--patches-per-class", "1")
+    assert rc == 0
+    assert renders["phantom"] == 1
+    h = hashlib.sha256()
+    for path in sorted((tmp_path / "patches").iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == PATCH_DIR_SHA256
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 """Phantom rendering, ground truth and the training-patch cutter."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage as ndi
 
 from cellforest.cnn import DatasetError
@@ -18,7 +22,12 @@ from cellforest.phantom import (
 )
 from cellforest.preprocess import gaussian_smooth
 
-from oracles import voronoi_reference
+from oracles import (
+    place_sites_reference,
+    touching_pairs_reference,
+    voronoi_reference,
+    voronoi_scan_reference,
+)
 
 
 def small_params(**overrides):
@@ -44,6 +53,8 @@ def test_params_validation():
         PhantomParams(membrane_width=0)
     with pytest.raises(ValueError):
         PhantomParams(noise_sigma=-0.1)
+    with pytest.raises(ValueError, match="spacing"):
+        PhantomParams(spacing=(1.0, 0.0, 1.0))
 
 
 def test_site_placement_respects_separation():
@@ -61,6 +72,40 @@ def test_site_placement_fails_when_overcrowded():
         _place_sites(params, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "dims, n_cells, width",
+    [((24, 24, 24), 8, 1), ((40, 30, 20), 60, 2), ((12, 12, 12), 25, 2), ((1, 7, 5), 4, 1)],
+)
+def test_site_placement_matches_looped_reference(dims, n_cells, width):
+    params = PhantomParams(dims=dims, n_cells=n_cells, membrane_width=width)
+    for seed in range(25):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _place_sites(params, rng)
+        np.testing.assert_array_equal(got, place_sites_reference(params, ref_rng))
+        # the same draws were consumed, rejected ones included
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_crowded_site_placement_rejects_draws():
+    # the crowded case above draws more candidates than it places
+    params = PhantomParams(dims=(12, 12, 12), n_cells=25, membrane_width=2)
+    rng, unrejected = np.random.default_rng(3), np.random.default_rng(3)
+    _place_sites(params, rng)
+    unrejected.random(3 * params.n_cells)
+    assert rng.bit_generator.state != unrejected.bit_generator.state
+
+
+def test_failed_site_placement_matches_reference():
+    params = PhantomParams(dims=(4, 4, 4), n_cells=60, membrane_width=2)
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    with pytest.raises(ValueError) as got:
+        _place_sites(params, rng)
+    with pytest.raises(ValueError) as expect:
+        place_sites_reference(params, ref_rng)
+    assert str(got.value) == str(expect.value)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # ground-truth geometry
 
@@ -72,6 +117,82 @@ def test_voronoi_labels_match_reference():
         got = _voronoi_labels(sites, params)
         expect = voronoi_reference(sites, params.dims, params.spacing)
         np.testing.assert_array_equal(got, expect)
+
+
+@st.composite
+def voronoi_cases(draw):
+    """Grids of 1-40 voxels per axis, mixed spacings and 1-60 sites, some
+    of them copies or mirror images of others so that distances tie
+    exactly."""
+    dims = tuple(draw(st.integers(1, 40)) for _ in range(3))
+    spacing = tuple(draw(st.sampled_from([0.3, 0.5, 0.7, 1.0, 2.0])) for _ in range(3))
+    extent = np.array(dims[::-1], dtype=np.float64)
+    sites = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(["uniform", "half-grid", "copy", "mirror"]))
+        if kind == "uniform" or (not sites and kind != "half-grid"):
+            unit = [draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(3)]
+            sites.append(np.array(unit) * extent)
+        elif kind == "half-grid":
+            sites.append(np.array([draw(st.integers(0, 2 * n - 1)) / 2 for n in extent]))
+        else:
+            site = sites[draw(st.integers(0, len(sites) - 1))].copy()
+            if kind == "mirror":
+                # reflect through a voxel plane: the plane's voxels tie
+                axis = draw(st.integers(0, 2))
+                plane = draw(st.integers(0, int(extent[axis]) - 1))
+                site[axis] = 2 * plane - site[axis]
+            sites.append(site)
+    return dims, spacing, np.array(sites)
+
+
+@settings(max_examples=150, deadline=None)
+@given(voronoi_cases())
+def test_voronoi_labels_match_full_scan_bit_for_bit(case):
+    dims, spacing, sites = case
+    params = PhantomParams(dims=dims, spacing=spacing, n_cells=1)
+    got = _voronoi_labels(sites, params)
+    expect = voronoi_scan_reference(sites, params)
+    assert got.dtype == expect.dtype
+    np.testing.assert_array_equal(got, expect)
+
+
+def test_voronoi_ties_go_to_the_lowest_site_index():
+    params = PhantomParams(dims=(40, 33, 20), spacing=(0.5, 1.0, 2.0), n_cells=1)
+    sites = _place_sites(PhantomParams(dims=(40, 33, 20), n_cells=12), np.random.default_rng(2))
+    sites = np.concatenate([sites, sites[::-1]])
+    got = _voronoi_labels(sites, params)
+    np.testing.assert_array_equal(got, voronoi_scan_reference(sites, params))
+    assert got.max() <= 12
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# sha256 of the image (float64) and truth (uint32) bytes, recorded from
+# the all-sites Voronoi scan and the looped site placement.
+PINNED_PHANTOMS = [
+    (
+        dict(dims=(96, 96, 96), n_cells=90, membrane_width=2, attenuation=0.99,
+             noise_sigma=0.05, blur_sigma=0.6, seed=1),
+        "971ca4eb2c560580cd6b6b70a61308c2bf4c37be43e9993dfe9302585f3a1d67",
+        "ee8aa7dc905ae7bd488bd26c16adf50e42e154750a40ec795b9849d31cf27cd8",
+    ),
+    (
+        dict(dims=(48, 40, 28), spacing=(0.5, 0.5, 1.5), n_cells=20, membrane_width=3,
+             attenuation=0.98, noise_sigma=0.03, blur_sigma=0.8, seed=4),
+        "069694dc309afa85638c2baa023105969de6c5f80240c6d2e32ed2b8ad800158",
+        "4e3b613455b2530592a9f0cc7a54a1dadb7c0f296aa53a653ce848f0763d4b15",
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs, image_sha, truth_sha", PINNED_PHANTOMS)
+def test_phantom_bytes_pinned(kwargs, image_sha, truth_sha):
+    v, gt = generate_phantom(PhantomParams(**kwargs))
+    assert v.data.dtype == np.float64 and gt.labels.dtype == np.uint32
+    assert (sha256(v.data), sha256(gt.labels)) == (image_sha, truth_sha)
 
 
 def test_ground_truth_cells_are_connected_and_complete():
@@ -114,6 +235,19 @@ def test_membrane_width_dilates_spherically():
 
 def test_touching_pairs_on_split_volume():
     assert _touching_pairs(split_labels()) == [(1, 2)]
+
+
+def test_touching_pairs_match_looped_reference():
+    rng = np.random.default_rng(0)
+    shapes = [(1, 1, 1), (1, 1, 9), (6, 1, 4), (5, 7, 3), (9, 8, 10)]
+    for shape in shapes:
+        for k in (1, 2, 5, 40):
+            labels = rng.integers(1, k + 1, shape).astype(np.uint32)
+            got = _touching_pairs(labels)
+            assert got == touching_pairs_reference(labels)
+            assert all(type(a) is int and type(b) is int for a, b in got)
+    _, gt = generate_phantom(small_params())
+    assert _touching_pairs(gt.labels) == touching_pairs_reference(gt.labels)
 
 
 # ---------------------------------------------------------------------------
