@@ -276,7 +276,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.patches_dir:
         with stage("synth"):
             patches, classes = generate_patch_dataset(
-                params, *(args.patches_per_class,) * 3, phantom=(v, gt)
+                params, v, gt, *(args.patches_per_class,) * 3
             )
         with stage("io", 3):
             save_patch_dataset(args.patches_dir, patches, classes)

@@ -142,6 +142,9 @@ def build_region_graph(lv: LabelVolume, v: ScalarVolume) -> RegionGraph:
     if k < 1 or int(labels.min()) < 1:
         raise ValueError("labels must cover every voxel with ids >= 1")
     flat = labels.ravel()
+    # k ids need k voxels: a stray huge id fails before it sizes the bincount
+    if k > flat.size:
+        raise ValueError(f"labels must be contiguous 1..{k}")
     counts = np.bincount(flat, minlength=k + 1)
     if not counts[1:].all():
         raise ValueError(f"labels must be contiguous 1..{k}")

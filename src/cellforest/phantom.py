@@ -188,20 +188,19 @@ def _coords_patch(v: ScalarVolume, member: np.ndarray) -> np.ndarray:
 
 
 def generate_patch_dataset(
-    params: PhantomParams, n_under: int = 20, n_correct: int = 20, n_over: int = 20,
-    phantom: tuple[ScalarVolume, LabelVolume] | None = None,
+    params: PhantomParams, v: ScalarVolume, gt: LabelVolume,
+    n_under: int = 20, n_correct: int = 20, n_over: int = 20,
 ) -> tuple[list[Patch], list[str]]:
-    """Labeled training patches cut from one phantom.
+    """Labeled training patches cut from the phantom ``(v, gt) =
+    generate_phantom(params)``.
 
     correct = a whole ground-truth cell; over = a random proper fragment
     of a cell (cut by a plane through its centroid); under = the union
     of 2-3 touching cells. Returns (patches, class names) aligned by
-    index. ``phantom`` is ``generate_phantom(params)`` when the caller
-    has already rendered it.
+    index.
     """
     if min(n_under, n_correct, n_over) < 1:
         raise ValueError("need at least one patch per class")
-    v, gt = phantom or generate_phantom(params)
     labels = gt.labels
     pairs = _touching_pairs(labels)
     if not pairs:

@@ -371,8 +371,9 @@ def test_network_numerics_and_training():
     softmax_ok = norm_err < 1e-6 and shift_err < 1e-6 and case_err < 1e-6
 
     # training on the 60-patch synthetic set
+    train_params = PhantomParams(**TRAIN_PHANTOM)
     patches, class_names = generate_patch_dataset(
-        PhantomParams(**TRAIN_PHANTOM), 20, 20, 20
+        train_params, *generate_phantom(train_params), 20, 20, 20
     )
     x_train = np.stack([p.data for p in patches])
     y_train = np.array([("under", "correct", "over").index(c) for c in class_names])

@@ -55,6 +55,9 @@ def test_noncontiguous_labels_rejected():
         build(np.array([[[1, 3]]]), np.zeros((1, 1, 2)))
     with pytest.raises(ValueError):
         build(np.array([[[0, 1]]]), np.zeros((1, 1, 2)))
+    # a huge stray id is rejected without a counter per possible id
+    with pytest.raises(ValueError, match="contiguous"):
+        build(np.array([[[1, 2**31]]], dtype=np.uint32), np.zeros((1, 1, 2)))
 
 
 def random_labeling(rng, shape, k):
