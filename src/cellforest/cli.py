@@ -286,15 +286,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    with stage("config", 2):
+        config = TrainConfig(
+            learning_rate=args.learning_rate,
+            batch_size=args.batch_size,
+            epochs=args.epochs,
+            keep_prob=args.keep_prob,
+            seed=args.seed,
+        )
     with stage("io", 3):
         x, classes = load_patch_dataset(args.dataset)
-    config = TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        keep_prob=args.keep_prob,
-        seed=args.seed,
-    )
     with stage("train"):
         model, trace = train(x, classes, config)
     with stage("io", 3):

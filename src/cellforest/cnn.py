@@ -249,8 +249,20 @@ def forward(
     return logits, cache
 
 
+class OuterProduct:
+    """``a.T @ b`` kept as its factors; ``np.asarray`` forms it whole."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.a.T @ self.b, dtype=dtype)
+
+
 def backward(model: CnnModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the loss w.r.t. every parameter tensor."""
+    """Gradients of the loss w.r.t. every parameter tensor; ``fc1_w``'s,
+    ``flat.T @ df1``, as an :class:`OuterProduct` of its factors, which
+    :func:`adam_step` forms a block of rows at a time, never whole."""
     x, a1, r1, m1, idx1, a2, r2, m2, idx2, flat, f1, rf, mask, dropped = cache
     p = model.params
     grads = {}
@@ -260,7 +272,7 @@ def backward(model: CnnModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarra
     ddropped = dlogits @ p["out_w"].T
     drf = ddropped * mask if mask is not None else ddropped
     df1 = drf * (f1 > 0)
-    grads["fc1_w"] = flat.T @ df1
+    grads["fc1_w"] = OuterProduct(flat, df1)
     grads["fc1_b"] = df1.sum(axis=0)
     dflat = df1 @ p["fc1_w"].T
 
@@ -313,6 +325,10 @@ class TrainConfig:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if not (0.0 < self.learning_rate < np.inf and 0.0 < self.eps < np.inf):
+            raise ValueError(f"learning_rate and eps must be finite and > 0: {self}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"beta1 and beta2 must be in [0, 1): {self}")
 
 
 @dataclass
@@ -335,9 +351,11 @@ def adam_step(
     ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``.
 
     Each tensor is updated in blocks of leading-axis rows of about
-    ``ADAM_BLOCK`` elements through two block-sized scratch arrays, so the
+    ``ADAM_BLOCK`` elements through block-sized scratch arrays, so the
     intermediates stay in cache and the 268 MB ``fc1_w`` with its moments
     crosses memory once per step instead of once per arithmetic operation.
+    An :class:`OuterProduct` gradient is formed just before each block's
+    update, bit-equal to the whole product: no block is one row (gemv).
     """
     state.t += 1
     b1t = 1.0 - beta1**state.t
@@ -345,12 +363,18 @@ def adam_step(
     for name, p in params.items():
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
-        p, g, m, v = (np.atleast_1d(a) for a in (p, grads[name], state.m[name], state.v[name]))
-        rows = max(1, ADAM_BLOCK * len(p) // max(p.size, 1))
-        step_buf, denom_buf = np.empty_like(p[:rows]), np.empty_like(p[:rows])
-        for lo in range(0, len(p), rows):
-            pb, gb, mb, vb = (a[lo : lo + rows] for a in (p, g, m, v))
-            step, denom = step_buf[: len(pb)], denom_buf[: len(pb)]
+        p, m, v = (np.atleast_1d(a) for a in (p, state.m[name], state.v[name]))
+        g = grads[name]
+        rows = max(2, ADAM_BLOCK * len(p) // max(p.size, 1))
+        stops = [*range(rows, len(p) - 1, rows), len(p)]  # a one-row tail joins its block
+        bufs = [np.empty_like(p[: rows + 1]) for _ in range(3)]
+        for lo, hi in zip([0, *stops], stops):
+            pb, mb, vb = (a[lo:hi] for a in (p, m, v))
+            step, denom, gb = (buf[: hi - lo] for buf in bufs)
+            if isinstance(g, OuterProduct):
+                np.matmul(g.a.T[lo:hi], g.b, out=gb)
+            else:
+                gb = np.atleast_1d(g)[lo:hi]
             mb *= beta1
             mb += np.multiply(gb, 1.0 - beta1, out=step)
             vb *= beta2

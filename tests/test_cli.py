@@ -777,6 +777,29 @@ def test_train_writes_model_and_loss_trace(patch_dir, tmp_path, capsys):
     assert model.input_size == 32
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--keep-prob", "0"),
+        ("--keep-prob", "nan"),
+        ("--batch-size", "0"),
+        ("--epochs", "0"),
+        ("--learning-rate", "-1"),
+        ("--learning-rate", "0"),
+        ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"),
+    ],
+)
+def test_train_bad_setting_is_config_error(patch_dir, tmp_path, capsys, flag, value):
+    model_out = tmp_path / "m"
+    rc, _, err = run(
+        capsys, "train", "--dataset", str(patch_dir), "--model-out", str(model_out), flag, value
+    )
+    assert rc == 2
+    assert err.startswith("error [stage config]:")
+    assert not model_out.exists()
+
+
 def test_train_missing_dataset_is_data_error(tmp_path, capsys):
     rc, _, err = run(
         capsys,

@@ -1,6 +1,8 @@
 """Network layers, gradients, the optimizer and model persistence."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from cellforest.cnn import (
     AdamState,
     CnnModel,
     DatasetError,
+    OuterProduct,
     TrainConfig,
     adam_step,
     backward,
@@ -275,7 +278,7 @@ def test_gradients_match_finite_differences_every_layer():
     _, grads = loss_and_grads(model, x, classes)
     for name, param in model.params.items():
         fd = finite_difference_grad(lambda: mean_cross_entropy(model, x, classes), param)
-        err = relative_error(grads[name], fd)
+        err = relative_error(np.asarray(grads[name]), fd)
         assert err < 1e-4, f"{name}: relative error {err}"
 
 
@@ -306,7 +309,7 @@ def test_gradients_with_dropout_mask_applied():
     grads = backward(model, cache, dlogits)
     for name in ("fc1_w", "fc1_b", "out_w", "out_b"):
         fd = finite_difference_grad(dropped_loss, model.params[name])
-        err = relative_error(grads[name], fd)
+        err = relative_error(np.asarray(grads[name]), fd)
         assert err < 1e-4, f"{name}: relative error {err}"
 
 
@@ -376,6 +379,58 @@ def test_adam_blocks_match_whole_tensor_update(monkeypatch, block):
         np.testing.assert_array_equal(state.m[k], m[k])
 
 
+def test_backward_returns_fc1_weight_gradient_as_factors():
+    model = small_model(seed=19)
+    rng = np.random.default_rng(20)
+    x = rng.random((3, 4, 4, 4))
+    logits, cache = forward(model, x)
+    _, dlogits = cross_entropy(logits, np.array([0, 1, 2]))
+    g = backward(model, cache, dlogits)["fc1_w"]
+    assert isinstance(g, OuterProduct)
+    assert g.a.shape == (3, model.params["fc1_w"].shape[0]) and g.b.shape == (3, 5)
+    np.testing.assert_array_equal(np.asarray(g), g.a.T @ g.b)
+    assert np.asarray(g).shape == model.params["fc1_w"].shape
+
+
+def adam_digests(p, grad):
+    """sha256 of params, m and v after one adam_step from p (updated in place)."""
+    state = AdamState()
+    adam_step({"w": p}, {"w": grad}, state, 1e-3)
+    return [hashlib.sha256(a).hexdigest() for a in (p, state.m["w"], state.v["w"])]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 10, 13])
+def test_adam_streamed_fc1_gradient_bit_equal_to_dense_at_production_shape(batch):
+    # fc1_w is 32768 x 1024: blocks of 64 rows; the dense run holds one
+    # parameter-sized gradient, so the two runs are compared by digest
+    shape = expected_shapes(32, (32, 64), 1024, 3)["fc1_w"]
+    rng = np.random.default_rng(batch)
+    a, b = rng.standard_normal((batch, shape[0])), rng.standard_normal((batch, shape[1]))
+    p = np.random.default_rng(100 + batch).standard_normal(shape) * 0.01
+    streamed = adam_digests(p, OuterProduct(a, b))
+    p = np.random.default_rng(100 + batch).standard_normal(shape) * 0.01
+    assert streamed == adam_digests(p, a.T @ b)
+
+
+@pytest.mark.parametrize("block", [16, 32, 64 * 16, 1 << 16])
+@pytest.mark.parametrize("rows", [1, 3, 65, 66])
+def test_adam_streamed_gradient_never_forms_a_one_row_block(monkeypatch, block, rows):
+    # 16 columns: 16 elements per block would be one-row blocks, 64 * 16 a
+    # one-row tail after 64 rows; a one-row product goes to gemv, whose
+    # rounding differs from the whole product's (the one-row tensor aside)
+    monkeypatch.setattr("cellforest.cnn.ADAM_BLOCK", block)
+    rng = np.random.default_rng(rows)
+    a, b = rng.standard_normal((3, rows)), rng.standard_normal((3, 16))
+    p = rng.standard_normal((rows, 16))
+    q, s1, s2 = p.copy(), AdamState(), AdamState()
+    for _ in range(2):
+        adam_step({"w": p}, {"w": OuterProduct(a, b)}, s1, 0.01)
+        adam_step({"w": q}, {"w": a.T @ b}, s2, 0.01)
+    np.testing.assert_array_equal(p, q)
+    np.testing.assert_array_equal(s1.m["w"], s2.m["w"])
+    np.testing.assert_array_equal(s1.v["w"], s2.v["w"])
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -423,6 +478,40 @@ def test_train_config_validation():
         TrainConfig(keep_prob=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("learning_rate", v) for v in (0.0, -1.0, math.nan, math.inf)]
+    + [("eps", v) for v in (0.0, -1e-8, math.nan, math.inf)]
+    + [(f, v) for f in ("beta1", "beta2") for v in (1.0, -0.1, 2.0, math.nan)],
+)
+def test_train_config_rejects_bad_optimizer_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_optimizer_edges():
+    TrainConfig(learning_rate=1e-12, eps=1e-300, beta1=0.0, beta2=0.0)
+    TrainConfig(learning_rate=10.0, beta1=0.999999, beta2=np.nextafter(1.0, 0.0))
+
+
+def test_train_peak_memory_beyond_the_model():
+    # params, ADAM's m and v, plus activations; the fc1 weight gradient
+    # is never formed whole (the dense-gradient loop peaked at about 4.2)
+    model = init_model(seed=0)
+    param_bytes = sum(p.nbytes for p in model.params.values())
+    x = np.random.default_rng(21).random((3, 32, 32, 32))
+    config = TrainConfig(batch_size=2, epochs=1, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train(x, np.array([0, 1, 2]), config, model=model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = (peak - before) / param_bytes
+    assert ratio < 2.5, f"train peak {ratio:.2f} x parameter bytes"
 
 
 # ---------------------------------------------------------------------------
