@@ -5,15 +5,16 @@ the node's bounding box, expanded by a small margin, either centered in
 the patch (with edge-replicated padding) or trilinearly downsampled when
 it is larger than the patch. Two classifiers map patches to the three
 hypothesis classes *under-segmentation*, *correct cell* and
-*over-segmentation*: the trained network from :mod:`cellforest.cnn` and a
-fixed heuristic that needs no training.
+*over-segmentation*: the trained network from :mod:`cellforest.cnn`,
+which sees the raw context its training patches had, and a fixed
+heuristic that needs no training and sees the node's own voxels only.
 
 Heuristic score formula (softmax over three linear scores):
 
     bright  = fraction of voxels above 0.5 in the central 10^3 window of
               the min-max renormalized patch
-    r_small = clamp(volume / v_min, 0, 1)   (1 when volume unknown)
-    r_big   = clamp(volume / v_max, 0, 1)   (0 when volume unknown)
+    r_small = clamp(volume / v_min, 0, 1)
+    r_big   = clamp(volume / v_max, 0, 1)
 
     z_under   = 25 * (bright - 0.05) + r_big
     z_correct = 0.8
@@ -61,11 +62,9 @@ class ClassProbs:
 
 @dataclass
 class Patch:
-    """A 32^3 intensity crop with provenance to its hypothesis node."""
+    """A validated 32^3 intensity crop."""
 
     data: np.ndarray
-    node_id: int = 0
-    volume_id: str = ""
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -119,34 +118,28 @@ def extract_patch(
     forest: MergeForest,
     node_id: int,
     supervoxels: LabelVolume,
-    mask_background: bool = False,
-    volume_id: str = "",
-    boxes: list | None = None,
+    boxes: list,
+    mask_background: bool,
 ) -> Patch:
     """Patch for one forest node, cropped around its voxels.
 
-    With ``mask_background`` the intensities outside the node's own
-    voxels are zeroed before cropping; by default the raw surrounding
-    context is kept. The node's box is the union of its leaves' boxes,
-    ``boxes = ndi.find_objects(supervoxels.labels)`` (computed when None).
+    The node's box is the union of its leaves' boxes, where ``boxes =
+    ndi.find_objects(supervoxels.labels)``. With ``mask_background`` the
+    intensities outside the node's own voxels are zeroed before cropping;
+    otherwise the raw surrounding context is kept.
     """
     leaves = forest.leaves_under(node_id)
-    boxes = ndi.find_objects(supervoxels.labels) if boxes is None else boxes
     found = [boxes[i - 1] for i in leaves if 0 < i <= len(boxes) and boxes[i - 1]]
     if not found:
         raise ValueError(f"forest node {node_id} covers no voxels")
     lo = np.min([[s.start for s in box] for box in found], axis=0)
     hi = np.max([[s.stop for s in box] for box in found], axis=0) - 1
     keep = (lambda w: np.isin(supervoxels.labels[w], leaves)) if mask_background else None
-    patch = crop_patch(v.data, lo, hi, keep=keep)
-    return Patch(np.ascontiguousarray(patch), node_id, volume_id)
+    return Patch(np.ascontiguousarray(crop_patch(v.data, lo, hi, keep=keep)))
 
 
 def heuristic_probs(
-    patch_data: np.ndarray,
-    volume_um3: float | None = None,
-    v_min: float | None = None,
-    v_max: float | None = None,
+    patch_data: np.ndarray, volume_um3: float, v_min: float, v_max: float
 ) -> ClassProbs:
     """Hand-tuned logistic over interior brightness and volume ratios.
 
@@ -161,12 +154,8 @@ def heuristic_probs(
     c0 = (q.shape[0] - 10) // 2
     core = q[c0 : c0 + 10, c0 : c0 + 10, c0 : c0 + 10]
     bright = float(np.mean(core > 0.5))
-
-    if volume_um3 is not None and v_min is not None and v_max is not None:
-        r_small = min(1.0, max(0.0, volume_um3 / v_min))
-        r_big = min(1.0, max(0.0, volume_um3 / v_max))
-    else:
-        r_small, r_big = 1.0, 0.0
+    r_small = min(1.0, max(0.0, volume_um3 / v_min))
+    r_big = min(1.0, max(0.0, volume_um3 / v_max))
 
     z = np.array([
         25.0 * (bright - 0.05) + r_big,
@@ -187,35 +176,28 @@ def hypothesis_classifier(
     v: ScalarVolume,
     forest: MergeForest,
     supervoxels: LabelVolume,
+    params: MergeParams,
     model: CnnModel | None = None,
-    merge_params: MergeParams | None = None,
-    mask_background: bool | None = None,
 ) -> Callable[[int], ClassProbs]:
     """Bind a patch-level classifier to a concrete volume and forest.
 
     Returns a pure ``node_id -> ClassProbs`` callable for the resolver:
-    the network when a model is given, otherwise the heuristic (fed the
-    node volume when merge parameters are available).
+    the network when a model is given, otherwise the heuristic, fed the
+    node volume against the bounds in ``params``.
 
-    By default the network sees raw context, matching its training
-    patches, while the heuristic sees the node's own voxels with the
-    surroundings zeroed: its central-window probe would otherwise read
-    neighbouring cells' walls for nodes whose bounding-box centre falls
-    outside the node (flat cells cut diagonally by the tessellation).
-    Pass ``mask_background`` explicitly to override.
+    The network sees raw context, matching its training patches, while
+    the heuristic sees the node's own voxels with the surroundings
+    zeroed: its central-window probe would otherwise read neighbouring
+    cells' walls for nodes whose bounding-box centre falls outside the
+    node (flat cells cut diagonally by the tessellation).
     """
     boxes = ndi.find_objects(supervoxels.labels)
 
     def classify(node_id: int) -> ClassProbs:
-        masked = model is None if mask_background is None else mask_background
-        patch = extract_patch(v, forest, node_id, supervoxels, mask_background=masked, boxes=boxes)
+        patch = extract_patch(v, forest, node_id, supervoxels, boxes, model is None)
         if model is not None:
             return cnn_probs(model, patch.data)
-        if merge_params is not None:
-            node = forest.nodes[node_id]
-            return heuristic_probs(
-                patch.data, node.volume, merge_params.v_min, merge_params.v_max
-            )
-        return heuristic_probs(patch.data)
+        volume = forest.nodes[node_id].volume
+        return heuristic_probs(patch.data, volume, params.v_min, params.v_max)
 
     return classify

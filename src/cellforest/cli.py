@@ -112,7 +112,6 @@ _CONFIG_KEYS = {
     "r_cl_max": int,
     "classifier": str,
     "model_path": str,
-    "seed": int,
     "dump_stages": lambda s: s.lower() in ("1", "true", "yes"),
     "preprocessed_in": str,
     "supervoxels_in": str,
@@ -128,7 +127,8 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, raw in cfg.items():
         if key not in _CONFIG_KEYS:
             raise CliError("config", 2, f"unknown config key {key!r}")
-        if getattr(args, key, None) in (None, False):
+        current = getattr(args, key)
+        if current is None or current is False:  # unset; an explicit 0 is set
             try:
                 setattr(args, key, _CONFIG_KEYS[key](raw))
             except ValueError as exc:
@@ -203,7 +203,7 @@ def segment(
         else:
             with stage("io", 3):
                 model = load_model(model_path) if classifier == "cnn" else None
-            classify_fn = hypothesis_classifier(pre, forest, sv, model=model, merge_params=params)
+            classify_fn = hypothesis_classifier(pre, forest, sv, params, model)
             resolution = resolve(forest, classify_fn)
         labels = finalize(forest, resolution, sv)
     return Run(pre, sv, forest, resolution, labels)
@@ -247,8 +247,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
         write_volume(run.labels, f"{prefix}.labels.mvol.json")
         save_forest(run.forest, f"{prefix}.forest.txt")
         with open(f"{prefix}.report.txt", "w") as fh:
-            fh.write(f"classifier: {classifier}\nseed: {args.seed or 0}\n"
-                     f"supervoxels: {run.forest.n_leaves}\nforest roots: {len(run.forest.roots)}\n")
+            fh.write(f"classifier: {classifier}\nsupervoxels: {run.forest.n_leaves}\n"
+                     f"forest roots: {len(run.forest.roots)}\n")
             fh.write(resolution_report(run.forest, run.resolution))
     print(f"wrote {prefix}.labels.mvol.json ({len(run.resolution.selected)} segments)")
     return 0
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="under-segmentation correction (default none)",
     )
     p.add_argument("--model-path", help="trained model file for --classifier cnn")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dump-stages", action="store_true", help="also write stage artifacts")
     p.add_argument("--preprocessed-in", help="resume from a preprocessed volume")
     p.add_argument("--supervoxels-in", help="resume from a supervoxel volume")

@@ -68,7 +68,6 @@ class RegionGraph:
         self.nodes: dict[int, RegionStats] = {}
         self.edges: dict[tuple[int, int], BoundaryStats] = {}
         self.adj: dict[int, set[int]] = {}
-        self.alive: set[int] = set()
 
     def edge(self, i: int, j: int) -> BoundaryStats:
         try:
@@ -76,16 +75,12 @@ class RegionGraph:
         except KeyError:
             raise KeyError(f"no edge between regions {i} and {j}") from None
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return _edge_key(i, j) in self.edges
-
     def neighbors(self, i: int) -> set[int]:
         return self.adj[i]
 
     def add_node(self, i: int, stats: RegionStats) -> None:
         self.nodes[i] = stats
         self.adj.setdefault(i, set())
-        self.alive.add(i)
 
     def merge_nodes(self, i: int, j: int, merged_id: int) -> RegionStats:
         """Fuse regions i and j into ``merged_id``; returns the fused stats.
@@ -114,17 +109,8 @@ class RegionGraph:
         del self.adj[i]
         del self.adj[j]
         self.adj[merged_id] = neighbors
-        self.alive.discard(i)
-        self.alive.discard(j)
-        self.alive.add(merged_id)
         self.nodes[merged_id] = fused
         return fused
-
-    def total_voxels(self) -> int:
-        return sum(s.voxel_count for s in self.nodes.values())
-
-    def total_pairs(self) -> int:
-        return sum(b.pair_count for b in self.edges.values())
 
 
 def build_region_graph(lv: LabelVolume, v: ScalarVolume) -> RegionGraph:

@@ -186,7 +186,7 @@ def agglomerate(
     in the graph. ``observer`` is called after every merge with the new
     node id, for incremental-statistics auditing.
     """
-    leaf_ids = sorted(graph.alive)
+    leaf_ids = sorted(graph.nodes)
     forest = MergeForest(len(leaf_ids))
     for i in leaf_ids:
         s = graph.nodes[i]
@@ -200,7 +200,7 @@ def agglomerate(
 
     while heap:
         score, i, j = heapq.heappop(heap)
-        if i not in graph.alive or j not in graph.alive:
+        if i not in graph.nodes or j not in graph.nodes:
             continue
         score = feature_sort(i, j, graph, params)
         if heap and score > heap[0][0]:
@@ -220,7 +220,7 @@ def agglomerate(
         if observer is not None:
             observer(graph, forest, merged_id)
 
-    forest.roots = sorted(graph.alive)
+    forest.roots = sorted(graph.nodes)
     return forest
 
 
@@ -273,9 +273,10 @@ def save_forest(forest: MergeForest, path: str) -> None:
 def load_forest(path: str) -> MergeForest:
     """Read a forest file, rejecting one that does not describe a forest
     over leaves 1..K: a node count that disagrees with the node lines
-    (e.g. a truncated file), leaf ids other than 1..K, children that are
-    unknown, shared with another node or not older than their parent, or
-    a node voxel count that is not the sum of its children's."""
+    (e.g. a truncated file), a leaf_map table other than ``k,k`` for
+    k = 1..K, leaf ids other than 1..K, children that are unknown, shared
+    with another node or not older than their parent, or a node voxel
+    count that is not the sum of its children's."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("# cellforest merge-forest"):
@@ -285,12 +286,14 @@ def load_forest(path: str) -> MergeForest:
         raise ValueError(f"{path}: malformed count line {' '.join(head)!r}")
     n_nodes = int(head[1])
     n_leaves = int(head[3])
-    body = lines[2 : lines.index("leaf_map")] if "leaf_map" in lines else lines[2:]
-    if len(body) != n_nodes or len(lines) != 3 + n_nodes + n_leaves:
-        raise ValueError(
-            f"{path}: header says {n_nodes} nodes and {n_leaves} leaves, file has "
-            f"{len(body)} node lines and {len(lines) - 3 - len(body)} leaf_map lines"
-        )
+    if "leaf_map" not in lines:
+        raise ValueError(f"{path}: no leaf_map line")
+    split = lines.index("leaf_map")
+    body, table = lines[2:split], lines[split + 1 :]
+    if len(body) != n_nodes:
+        raise ValueError(f"{path}: header says {n_nodes} nodes, file has {len(body)} node lines")
+    if len(table) != n_leaves or table != [f"{k},{k}" for k in range(1, n_leaves + 1)]:
+        raise ValueError(f"{path}: leaf_map must map each leaf 1..{n_leaves} to itself")
     forest = MergeForest(n_leaves)
     for ln in body:
         fields = ln.split(",")

@@ -214,7 +214,7 @@ def generate_patch_dataset(
     patches: list[Patch] = []
     classes: list[str] = []
 
-    for i in range(n_under):
+    for _ in range(n_under):
         a, b = pairs[int(rng.integers(len(pairs)))]
         group = {a, b}
         if rng.random() < 0.5:
@@ -222,19 +222,17 @@ def generate_patch_dataset(
             if extra:
                 group.add(extra[int(rng.integers(len(extra)))])
         member = np.isin(labels, sorted(group))
-        patches.append(Patch(_coords_patch(v, member), node_id=i, volume_id="under"))
+        patches.append(Patch(_coords_patch(v, member)))
         classes.append("under")
 
-    for i in range(n_correct):
+    for _ in range(n_correct):
         c = int(rng.integers(params.n_cells)) + 1
-        patches.append(
-            Patch(_coords_patch(v, labels == c), node_id=i, volume_id="correct")
-        )
+        patches.append(Patch(_coords_patch(v, labels == c)))
         classes.append("correct")
 
-    for i in range(n_over):
+    for _ in range(n_over):
         frag = _random_fragment(labels, params.n_cells, rng)
-        patches.append(Patch(_coords_patch(v, frag), node_id=i, volume_id="over"))
+        patches.append(Patch(_coords_patch(v, frag)))
         classes.append("over")
     return patches, classes
 

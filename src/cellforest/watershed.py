@@ -17,16 +17,19 @@ order is known. It has a closed form:
 * The generation gen(v), v's FIFO layer in its level, is 0 next to a
   lower level, else one more than its earliest equal-level neighbour's.
 * Outside pits, v pops in the order of (lam, gen, parent's order, v's
-  direction from it in x-, x+, y-, y+, z-, z+ order). A pit component is
-  flooded right after its *host*, the first rim voxel to pop: it takes
-  gen(host), its voxels order as (host, position in that sub-flood) and
-  the rank-lam voxels it pushes get gen(host) + 1. Positions, like the
-  directions at a shared parent, only order voxels of one label.
+  direction from it). A pit component is flooded right after its *host*,
+  the first rim voxel to pop: it takes gen(host), its voxels order as
+  (host, position in that sub-flood) and the rank-lam voxels it pushes
+  get gen(host) + 1. Positions order the voxels of one pit and
+  directions the children of one voxel, each a set of one label, so
+  neither is computed.
 * A voxel tied on (lam, gen) takes a candidate's label, and is settled
-  exactly (walking both parent chains until the keys, or the directions
-  at a shared parent, differ) only where its candidates' labels disagree.
-  Then the labels are exact, by induction in pop order: a voxel's true
-  parent pops before it and is one of its candidates.
+  (walking both parent chains until the keys differ) only where its
+  candidates' labels disagree. Chains that meet compare equal, so the
+  parent or host chosen is the true one or a sibling of it: the same key
+  chain and the same label. Then the labels are exact, by induction in
+  pop order: a voxel's true parent pops before it and is one of its
+  candidates.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     host = {}  # pit voxel -> (its host, 1): it pops right after the host
 
     def before(x, y):
-        """Negative if x is processed before y."""
+        """Negative if x is processed before y, 0 for children of one voxel."""
         while K[x] == K[y]:
             (x, i), (y, j) = host.get(x, (x, 0)), host.get(y, (y, 0))
             if x == y:
@@ -205,8 +208,6 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
             px, py = PAR[x], PAR[y]
             if px < 0 or py < 0:
                 raise _Unknown(x if px < 0 else y)
-            if px == py:
-                return steps.index(x - px) - steps.index(y - py)
             x, y = px, py
         return -1 if K[x] < K[y] else 1
 

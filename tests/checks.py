@@ -18,7 +18,7 @@ def assert_incremental_stats_match(graph, supervoxels, values, leaf_of=None):
     -> list of leaf labels (defaults to a merge-forest style lookup via
     graph bookkeeping is not available here, so callers pass it).
     """
-    alive = sorted(graph.alive)
+    alive = sorted(graph.nodes)
     remap_to_fresh = {node: k + 1 for k, node in enumerate(alive)}
 
     leaf_map = np.zeros(int(supervoxels.labels.max()) + 1, dtype=np.int64)

@@ -132,10 +132,9 @@ def two_leaf_fixture():
 
 def test_extract_patch_leaf_and_merged_node():
     v, sv, forest = two_leaf_fixture()
-    left = extract_patch(v, forest, 1, sv)
-    whole = extract_patch(v, forest, 3, sv, volume_id="vol7")
-    assert left.node_id == 1
-    assert whole.node_id == 3 and whole.volume_id == "vol7"
+    boxes = ndi.find_objects(sv.labels)
+    left = extract_patch(v, forest, 1, sv, boxes, False)
+    whole = extract_patch(v, forest, 3, sv, boxes, False)
     assert left.data.shape == (32, 32, 32)
     # the merged node's box spans the full volume
     assert whole.data.max() == v.data.max()
@@ -143,8 +142,9 @@ def test_extract_patch_leaf_and_merged_node():
 
 def test_extract_patch_background_masking():
     v, sv, forest = two_leaf_fixture()
-    raw = extract_patch(v, forest, 1, sv)
-    masked = extract_patch(v, forest, 1, sv, mask_background=True)
+    boxes = ndi.find_objects(sv.labels)
+    raw = extract_patch(v, forest, 1, sv, boxes, False)
+    masked = extract_patch(v, forest, 1, sv, boxes, True)
     # bright right-half context is visible raw but zeroed when masked
     assert raw.data.max() > 0.5
     assert masked.data.max() <= 0.5
@@ -159,7 +159,7 @@ def test_extract_patch_missing_node_coverage():
     forest.add_leaf(3, 1, 1.0)
     forest.roots = [1, 2, 3]
     with pytest.raises(ValueError):
-        extract_patch(v, forest, 3, sv)
+        extract_patch(v, forest, 3, sv, ndi.find_objects(sv.labels), False)
 
 
 @st.composite
@@ -197,13 +197,9 @@ def test_box_bounded_extract_patch_equals_whole_volume_extraction(case, masked):
     v, sv, forest = case
     boxes = ndi.find_objects(sv.labels)
     for node_id in sorted(forest.nodes):
-        got = extract_patch(v, forest, node_id, sv, mask_background=masked, boxes=boxes)
+        got = extract_patch(v, forest, node_id, sv, boxes, masked)
         ref = node_patch_reference(v.data, sv.labels, forest.leaves_under(node_id), masked)
         assert np.array_equal(got.data.view(np.int64), ref.astype(np.float64).view(np.int64))
-    # without precomputed boxes the result is the same
-    last = max(forest.nodes)
-    again = extract_patch(v, forest, last, sv, mask_background=masked)
-    assert np.array_equal(again.data, extract_patch(v, forest, last, sv, masked, boxes=boxes).data)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +219,13 @@ def shell_patch():
     return data
 
 
+# volume = v_min and a huge v_max: r_small = 1 and r_big = 1e-12, which
+# leave the scores of the brightness probe alone within 1e-7
+NEUTRAL_VOLUME = (1.0, 1.0, 1e12)
+
+
 def test_heuristic_flags_bright_central_wall_as_under():
-    probs = heuristic_probs(plane_patch())
+    probs = heuristic_probs(plane_patch(), *NEUTRAL_VOLUME)
     assert probs.argmax_class() == "under"
     np.testing.assert_allclose(
         probs.as_array(), [0.57371445, 0.36581649, 0.06046906], atol=1e-7
@@ -232,14 +233,14 @@ def test_heuristic_flags_bright_central_wall_as_under():
 
 
 def test_heuristic_prefers_correct_for_dark_interior():
-    probs = heuristic_probs(shell_patch())
+    probs = heuristic_probs(shell_patch(), *NEUTRAL_VOLUME)
     assert probs.argmax_class() == "correct"
     assert probs.p_correct > probs.p_under
     assert probs.p_correct > probs.p_over
 
 
 def test_heuristic_flags_tiny_volume_as_over():
-    probs = heuristic_probs(shell_patch(), volume_um3=1.0, v_min=100.0, v_max=1000.0)
+    probs = heuristic_probs(shell_patch(), 1.0, 100.0, 1000.0)
     assert probs.argmax_class() == "over"
     np.testing.assert_allclose(
         probs.as_array(), [0.01314936, 0.1020408, 0.88480984], atol=1e-7
@@ -247,20 +248,20 @@ def test_heuristic_flags_tiny_volume_as_over():
 
 
 def test_heuristic_large_volume_raises_under_score():
-    small = heuristic_probs(plane_patch(), volume_um3=10.0, v_min=100.0, v_max=1000.0)
-    large = heuristic_probs(plane_patch(), volume_um3=5000.0, v_min=100.0, v_max=1000.0)
+    small = heuristic_probs(plane_patch(), 10.0, 100.0, 1000.0)
+    large = heuristic_probs(plane_patch(), 5000.0, 100.0, 1000.0)
     assert large.p_under > small.p_under
 
 
 def test_heuristic_constant_patch_is_correct():
-    probs = heuristic_probs(np.full((32, 32, 32), 0.3))
+    probs = heuristic_probs(np.full((32, 32, 32), 0.3), *NEUTRAL_VOLUME)
     assert probs.argmax_class() == "correct"
 
 
 def test_heuristic_probabilities_always_valid():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        probs = heuristic_probs(rng.random((32, 32, 32)))
+        probs = heuristic_probs(rng.random((32, 32, 32)), *NEUTRAL_VOLUME)
         arr = probs.as_array()
         assert np.all(arr > 0)
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
@@ -290,31 +291,21 @@ def test_cnn_probs_uniform_for_zero_weights():
 
 def test_hypothesis_classifier_heuristic_paths():
     v, sv, forest = two_leaf_fixture()
-    plain = hypothesis_classifier(v, forest, sv)
-    with_volume = hypothesis_classifier(
-        v, forest, sv, merge_params=MergeParams(v_min=2000.0, v_max=5000.0)
-    )
-    # the heuristic path masks the background by default
-    patch = extract_patch(v, forest, 3, sv, mask_background=True)
-    expect_plain = heuristic_probs(patch.data)
-    expect_vol = heuristic_probs(patch.data, forest.nodes[3].volume, 2000.0, 5000.0)
-    assert plain(3).as_array() == pytest.approx(expect_plain.as_array())
-    assert with_volume(3).as_array() == pytest.approx(expect_vol.as_array())
+    loose = hypothesis_classifier(v, forest, sv, MergeParams(v_min=1.0, v_max=5000.0))
+    strict = hypothesis_classifier(v, forest, sv, MergeParams(v_min=2000.0, v_max=5000.0))
+    # the heuristic sees the node's voxels with the background masked
+    patch = extract_patch(v, forest, 3, sv, ndi.find_objects(sv.labels), True)
+    expect = heuristic_probs(patch.data, forest.nodes[3].volume, 2000.0, 5000.0)
+    assert strict(3).as_array() == pytest.approx(expect.as_array())
     # node volume below v_min pushes the over-segmentation score up
-    assert with_volume(1).p_over > plain(1).p_over
-
-
-def test_hypothesis_classifier_mask_override():
-    v, sv, forest = two_leaf_fixture()
-    raw = hypothesis_classifier(v, forest, sv, mask_background=False)
-    patch = extract_patch(v, forest, 3, sv)
-    assert raw(3).as_array() == pytest.approx(heuristic_probs(patch.data).as_array())
+    assert strict(1).p_over > loose(1).p_over
 
 
 def test_hypothesis_classifier_uses_network_when_given():
     v, sv, forest = two_leaf_fixture()
     model = tiny_cnn()
-    classify = hypothesis_classifier(v, forest, sv, model=model)
-    patch = extract_patch(v, forest, 2, sv)
+    classify = hypothesis_classifier(v, forest, sv, MergeParams(1.0, 5000.0), model)
+    # the network sees the raw context
+    patch = extract_patch(v, forest, 2, sv, ndi.find_objects(sv.labels), False)
     expect = cnn_probs(model, patch.data)
     assert classify(2).as_array() == pytest.approx(expect.as_array(), abs=1e-12)

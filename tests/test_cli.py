@@ -209,7 +209,7 @@ def test_load_config_parses_comments_and_hyphens(tmp_path):
 
 def test_config_supplies_missing_options(phantom, tmp_path, capsys):
     cfg = tmp_path / "seg.cfg"
-    cfg.write_text("v_min_um3 = 200\nv_max_um3 = 4000\nseed = 9\n")
+    cfg.write_text("v_min_um3 = 200\nv_max_um3 = 4000\nclassifier = heuristic\n")
     out = tmp_path / "out"
     rc, _, _ = run(
         capsys,
@@ -221,12 +221,12 @@ def test_config_supplies_missing_options(phantom, tmp_path, capsys):
         str(out),
     )
     assert rc == 0
-    assert "seed: 9" in (tmp_path / "out.report.txt").read_text()
+    assert "classifier: heuristic" in (tmp_path / "out.report.txt").read_text()
 
 
 def test_command_line_overrides_config(phantom, tmp_path, capsys):
     cfg = tmp_path / "seg.cfg"
-    cfg.write_text("v_min_um3 = 200\nv_max_um3 = 4000\nseed = 9\n")
+    cfg.write_text("v_min_um3 = 200\nv_max_um3 = 4000\nclassifier = heuristic\n")
     rc, _, _ = run(
         capsys,
         "segment",
@@ -235,11 +235,23 @@ def test_command_line_overrides_config(phantom, tmp_path, capsys):
         str(cfg),
         "--output-prefix",
         str(tmp_path / "out"),
-        "--seed",
-        "4",
+        "--classifier",
+        "none",
     )
     assert rc == 0
-    assert "seed: 4" in (tmp_path / "out.report.txt").read_text()
+    assert "classifier: none" in (tmp_path / "out.report.txt").read_text()
+
+
+@pytest.mark.parametrize("option, in_file", [("r-cl-max", "2"), ("v-min-um3", "200")])
+def test_explicit_zero_flag_beats_config(phantom, tmp_path, capsys, option, in_file):
+    # 0 == False, so a zero flag used to count as unset and lose to the file
+    cfg = tmp_path / "seg.cfg"
+    cfg.write_text(f"{option} = {in_file}\n")
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--config", str(cfg),
+                     "--output-prefix", str(tmp_path / "out"), *SEG_FLAGS, f"--{option}", "0")
+    assert rc == 2
+    assert err.startswith("error [stage config]:")
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_unknown_config_key_rejected(phantom, tmp_path, capsys):
@@ -256,6 +268,12 @@ def test_unknown_config_key_rejected(phantom, tmp_path, capsys):
     )
     assert rc == 2
     assert "vmax" in err
+    # segment has no seed: nothing it computes is random
+    cfg.write_text("seed = 9\n")
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--config", str(cfg),
+                     "--output-prefix", str(tmp_path / "out"), *SEG_FLAGS)
+    assert rc == 2
+    assert "unknown config key 'seed'" in err
 
 
 def test_malformed_config_line_rejected(phantom, tmp_path, capsys):
@@ -488,18 +506,20 @@ def test_resume_dependency_validation(phantom, tmp_path, capsys):
     assert "--supervoxels-in requires --preprocessed-in" in err
 
 
-def benchmark_cli_hooks():
-    """The ``cellforest.cli`` names that ``perfbench/tracing.py`` wraps to time stages."""
+def benchmark_hooks():
+    """The ``(module, attr)`` names that ``perfbench/tracing.py`` wraps to time stages."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [attr for module, attr, *_ in tracing.TARGETS if module == "cellforest.cli"]
+    return [(module, attr) for module, attr, *_ in tracing.TARGETS]
 
 
 def test_benchmark_hooks_see_each_stage_once(phantom, tmp_path, capsys, monkeypatch):
-    names = benchmark_cli_hooks()
-    assert [n for n in names if not hasattr(cli, n)] == []
+    # every wrapped name must exist: a missing one makes the tracer fail on entry
+    hooks = benchmark_hooks()
+    assert [(m, a) for m, a in hooks if not hasattr(importlib.import_module(m), a)] == []
+    names = [attr for module, attr in hooks if module == "cellforest.cli"]
     calls = Counter()
     for name in names:
         def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
@@ -605,6 +625,15 @@ def cut_leaf_map(lines, n_nodes):
     return lines[:-2]
 
 
+def shifted_leaf_map(lines, n_nodes):
+    head = lines[: 3 + n_nodes]
+    return head + [f"{k},{k + 7}" for k in range(1, len(lines) - len(head) + 1)]
+
+
+def no_leaf_map_line(lines, n_nodes):
+    return [ln for ln in lines if ln != "leaf_map"]
+
+
 def unknown_child(lines, n_nodes):
     merge = next(i for i in range(2, 2 + n_nodes) if lines[i].split(",")[1] != "-")
     f = lines[merge].split(",")
@@ -628,7 +657,8 @@ def voxel_count_off_by_one(lines, n_nodes):
 
 @pytest.mark.parametrize(
     "edit",
-    [cut_node_lines, cut_leaf_map, unknown_child, leaf_id_outside_range, voxel_count_off_by_one],
+    [cut_node_lines, cut_leaf_map, shifted_leaf_map, no_leaf_map_line, unknown_child,
+     leaf_id_outside_range, voxel_count_off_by_one],
 )
 def test_inconsistent_forest_file_is_io_failure(forest_runs, tmp_path, capsys, edit):
     good = forest_runs[0]

@@ -96,8 +96,8 @@ def test_merge_fuses_stats_and_preserves_totals():
     values = rng.random((4, 4, 4))
     g = build(labels, values)
     k = len(g.nodes)
-    total_vox = g.total_voxels()
-    total_pairs = g.total_pairs()
+    total_vox = sum(s.voxel_count for s in g.nodes.values())
+    total_pairs = sum(b.pair_count for b in g.edges.values())
 
     i, j = sorted(g.edges)[0]
     si, sj = g.nodes[i], g.nodes[j]
@@ -107,12 +107,12 @@ def test_merge_fuses_stats_and_preserves_totals():
     fused = g.merge_nodes(i, j, k + 1)
     assert fused.voxel_count == expect_count
     np.testing.assert_allclose(fused.intensity_sum, expect_sum, rtol=1e-12)
-    assert g.total_voxels() == total_vox
+    assert sum(s.voxel_count for s in g.nodes.values()) == total_vox
     # the fused wall's face pairs become interior and leave the edge set
-    assert g.total_pairs() == total_pairs - interior_pairs
-    assert i not in g.alive and j not in g.alive and (k + 1) in g.alive
+    assert sum(b.pair_count for b in g.edges.values()) == total_pairs - interior_pairs
+    assert i not in g.nodes and j not in g.nodes and (k + 1) in g.nodes
     for a, b in g.edges:
-        assert a in g.alive and b in g.alive
+        assert a in g.nodes and b in g.nodes
 
 
 def test_merge_combines_parallel_edges():

@@ -290,7 +290,7 @@ def test_v_max_blocks_oversized_union():
     forest = agglomerate(graph, params(v_min=1.2, v_max=1.5))
     assert forest.roots == [1, 2]
     # the adjacency survives for later passes even though the merge is barred
-    assert graph.has_edge(1, 2)
+    assert (1, 2) in graph.edges
 
 
 def test_merge_scores_recorded_below_one_and_volumes_capped():
@@ -451,5 +451,23 @@ def test_load_forest_rejects_inconsistent_structure(tmp_path, merges, message):
     if message is None:
         assert load_forest(path).roots == [3]
         return
+    with pytest.raises(ValueError, match=message):
+        load_forest(path)
+
+
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        (["1,1"], "to itself"),  # one leaf short
+        (["1,8", "2,9"], "to itself"),  # a shifted map
+        (["2,2", "1,1"], "to itself"),  # out of order
+        (None, "no leaf_map line"),
+    ],
+)
+def test_load_forest_requires_the_identity_leaf_map(tmp_path, table, message):
+    lines = ["# cellforest merge-forest v1", "nodes 2 leaves 2", "1,-,-,2,2.0,-", "2,-,-,3,3.0,-"]
+    lines += [] if table is None else ["leaf_map", *table]
+    path = tmp_path / "f.forest.txt"
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         load_forest(path)

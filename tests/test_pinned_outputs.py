@@ -25,7 +25,7 @@ from cellforest.volume import read_volume
 SEG_FLAGS = ["--v-min-um3", "3000", "--v-max-um3", "16000"]
 
 RECUT_LABELS_SHA256 = "b125f37c44b1c40c8e58eaebc2be520d3df97100e03f2e4ecb363047376fdc26"
-RECUT_REPORT_SHA256 = "a65499e7c0d1ada3674a938b65a8ca8b3308364b200ce74fd296de3e25e1a9ce"
+RECUT_REPORT_SHA256 = "03ab2ef335dcb5a0a100cfb4a3d5f5e519da07f7abe15d9507bc28a21c23f176"
 RECUT_PROBS_SHA256 = "1a7181244987c56f50660521fad5698ca7f9c8e3a456539f2874fc4008314f6a"
 RECUT_HEURISTIC_PROBS_SHA256 = "78867cde2593f798ffc1c2b5b53067f6ce2e268d8dfa1c97256b049528f9eff9"
 TRAIN_MODEL_SHA256 = "742482eebc6229f39b83b92876d988dd780dc8012dab41ac0a3e92fe98dd0a4d"
@@ -68,8 +68,7 @@ def test_cnn_recut_outputs_pinned(artifacts, tmp_path):
     pre, sv = read_volume(str(a / "art.pre.mvol.json")), read_volume(str(a / "art.sv.mvol.json"))
     for model, pinned in ((init_model(seed=5), RECUT_PROBS_SHA256),
                           (None, RECUT_HEURISTIC_PROBS_SHA256)):
-        classify = hypothesis_classifier(pre, forest, sv, model=model,
-                                         merge_params=MergeParams(3000.0, 16000.0))
+        classify = hypothesis_classifier(pre, forest, sv, MergeParams(3000.0, 16000.0), model)
         probs = np.array([classify(n).as_array() for n in sorted(forest.nodes)])
         assert sha256(probs.astype("<f8").tobytes()) == pinned
 
