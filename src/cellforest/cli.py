@@ -13,12 +13,16 @@ Gaussian smoothing -> iterative closing -> minima detection -> watershed
 resolution -> final labels. The driver calls each stage through this
 module's names, which ``perfbench/tracing.py`` wraps to time them. Only
 the volume bounds (v_min / v_max, or r_min to derive v_min) are
-mandatory; everything else defaults. Options can come from a
-``key = value`` config file (``--config``), with command-line flags
-taking precedence.
+mandatory; everything else takes the library's defaults
+(:class:`PreprocessParams`, :class:`PhantomParams`, :class:`TrainConfig`),
+so no option declares a default of its own. A ``key = value`` config file
+(``--config``) holds ``segment`` options: each line is turned into a
+``segment`` argument (``input`` into the positional) and parsed ahead of
+the command line, so an explicit flag wins and a bad value fails alike
+from either source.
 
-Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 stage
-failure; errors name the stage that failed.
+Exit codes: 0 success, 2 bad configuration (a bad option value too), 3
+I/O failure, 4 stage failure; errors name the stage that failed.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,38 +105,29 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-# segment options that a config file may set, with their parsers.
-_CONFIG_KEYS = {
-    "input": str,
-    "output_prefix": str,
-    "v_min_um3": float,
-    "v_max_um3": float,
-    "r_min_um": float,
-    "sigma": str,
-    "r_cl_max": int,
-    "classifier": str,
-    "model_path": str,
-    "dump_stages": lambda s: s.lower() in ("1", "true", "yes"),
-    "preprocessed_in": str,
-    "supervoxels_in": str,
-    "forest_in": str,
-}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    with stage("config", 2):
-        cfg = load_config(args.config)
-    for key, raw in cfg.items():
-        if key not in _CONFIG_KEYS:
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The lines of the ``--config`` file as ``segment`` arguments. The known keys
+    are the parsed ``segment`` options: ``input`` fills the positional unless the
+    command line gave one, and ``dump_stages`` is a bare flag when 1, true or yes."""
+    keys = vars(args).keys() - {"command", "func", "config"}
+    argv = []
+    for key, value in load_config(args.config).items():
+        if key not in keys:
             raise CliError("config", 2, f"unknown config key {key!r}")
-        current = getattr(args, key)
-        if current is None or current is False:  # unset; an explicit 0 is set
-            try:
-                setattr(args, key, _CONFIG_KEYS[key](raw))
-            except ValueError as exc:
-                raise CliError("config", 2, f"config key {key!r}: {exc}") from exc
+        if key == "input":
+            if args.input is None:  # an input on the command line wins
+                argv.insert(0, value)
+        elif key != "dump_stages":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            argv.append("--dump-stages")
+    return argv
+
+
+def _given(args: argparse.Namespace, params: type) -> dict:
+    """The fields of the dataclass ``params`` that the command line set."""
+    names = {f.name for f in fields(params)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
 def _read_scalar(path: str) -> ScalarVolume:
@@ -173,8 +168,9 @@ def segment(
     """The pipeline: normalize -> smooth -> close -> minima -> flood -> region graph
     -> agglomerate -> tree cut by ``classifier`` (the CNN read from ``model_path``)
     -> final labels. A given ``pre``, ``sv`` or ``forest`` replaces the stages that
-    make it (``volume`` is then unused); a given forest must have the supervoxels'
-    leaf voxel counts. Failures raise :class:`CliError` naming the stage."""
+    make it (``volume`` is then unused). A given ``pre`` must lie in [0, 1], given
+    supervoxels must have its shape and spacing, and a given forest must have the
+    supervoxels' leaf voxel counts. Failures raise :class:`CliError` naming the stage."""
     if classifier not in CLASSIFIERS:
         raise CliError("config", 2, f"unknown classifier {classifier!r}")
     if classifier == "cnn" and not model_path:
@@ -185,9 +181,14 @@ def segment(
             pre = iterative_closing(
                 gaussian_smooth(normalize(volume), pre_params.sigma), pre_params.r_cl_max
             )
+    elif not 0.0 <= pre.data.min() <= pre.data.max() <= 1.0:
+        raise CliError("data", 4, "preprocessed intensities must lie in [0, 1]")
     if sv is None:
         with stage("watershed"):
             sv = seeded_watershed(pre, find_local_minima(pre))
+    elif sv.labels.shape != pre.data.shape or sv.spacing != pre.spacing:
+        raise CliError("data", 4, f"supervoxels {sv.dims} at {sv.spacing} um do not match "
+                                  f"the preprocessed volume {pre.dims} at {pre.spacing} um")
     if forest is None:
         with stage("merge"):
             forest = agglomerate(build_region_graph(sv, pre), params)
@@ -210,7 +211,6 @@ def segment(
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    _apply_config(args)
     classifier = args.classifier or "none"
     if not args.output_prefix:
         raise CliError("config", 2, "--output-prefix is required")
@@ -256,18 +256,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     with stage("config", 2):
-        params = PhantomParams(
-            dims=_triple(args.dims, int),
-            spacing=_triple(args.spacing),
-            n_cells=args.n_cells,
-            membrane_width=args.membrane_width,
-            membrane_intensity=args.membrane_intensity,
-            interior_intensity=args.interior_intensity,
-            attenuation=args.attenuation,
-            noise_sigma=args.noise_sigma,
-            blur_sigma=args.blur_sigma,
-            seed=args.seed,
-        )
+        given = _given(args, PhantomParams)
+        if args.dims is not None:
+            given["dims"] = _triple(args.dims, int)
+        if args.spacing is not None:
+            given["spacing"] = _triple(args.spacing)
+        params = PhantomParams(**given)
+        per_class = () if args.patches_per_class is None else (args.patches_per_class,) * 3
+        if min(per_class, default=1) < 1:
+            raise ValueError(f"--patches-per-class must be >= 1, got {args.patches_per_class}")
     with stage("synth"):
         v, gt = generate_phantom(params)
     with stage("io", 3):
@@ -275,9 +272,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         write_volume(gt, f"{args.output_prefix}.truth.mvol.json")
     if args.patches_dir:
         with stage("synth"):
-            patches, classes = generate_patch_dataset(
-                params, v, gt, *(args.patches_per_class,) * 3
-            )
+            patches, classes = generate_patch_dataset(params, v, gt, *per_class)
         with stage("io", 3):
             save_patch_dataset(args.patches_dir, patches, classes)
         print(f"wrote {len(patches)} patches to {args.patches_dir}")
@@ -287,13 +282,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     with stage("config", 2):
-        config = TrainConfig(
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            keep_prob=args.keep_prob,
-            seed=args.seed,
-        )
+        config = TrainConfig(**_given(args, TrainConfig))
     with stage("io", 3):
         x, classes = load_patch_dataset(args.dataset)
     with stage("train"):
@@ -307,11 +296,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    with stage("config", 2):
+        background = _int_set(args.background or "")
     with stage("io", 3):
         pred = _read_labels(args.pred)
         truth = _read_labels(args.truth)
         mask = _read_labels(args.layer_mask) if args.layer_mask else None
-    background = _int_set(args.background) if args.background else frozenset()
     with stage("eval"):
         if mask is None:
             rows = [(args.name, match_segments(pred, truth, background))]
@@ -330,11 +320,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cellforest", description="membrane-stained volume segmentation toolkit"
+        prog="cellforest", description="membrane-stained volume segmentation toolkit",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("segment", help="run the segmentation pipeline")
+    p = sub.add_parser("segment", help="run the segmentation pipeline", exit_on_error=False)
     p.add_argument("input", nargs="?", help="input MVOL intensity volume")
     p.add_argument("--config", help="key = value options file")
     p.add_argument("--output-prefix", help="prefix for labels/forest/report outputs")
@@ -342,11 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-max-um3", type=float, help="maximum cell volume (um^3)")
     p.add_argument("--r-min-um", type=float, help="derive v_min from a minimum radius (um)")
     p.add_argument("--sigma", help="Gaussian sigma in voxels, one value or x,y,z")
-    p.add_argument("--r-cl-max", type=int, default=None, help="largest closing radius (voxels)")
-    p.add_argument(
-        "--classifier", default=None, choices=CLASSIFIERS,
-        help="under-segmentation correction (default none)",
-    )
+    p.add_argument("--r-cl-max", type=int, help="largest closing radius (voxels)")
+    p.add_argument("--classifier", choices=CLASSIFIERS,
+                   help="under-segmentation correction (default none)")
     p.add_argument("--model-path", help="trained model file for --classifier cnn")
     p.add_argument("--dump-stages", action="store_true", help="also write stage artifacts")
     p.add_argument("--preprocessed-in", help="resume from a preprocessed volume")
@@ -354,33 +343,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forest-in", help="resume from a merge-forest file")
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("synth", help="generate a synthetic phantom")
+    p = sub.add_parser("synth", help="generate a synthetic phantom", exit_on_error=False)
     p.add_argument("--output-prefix", required=True)
-    p.add_argument("--dims", default="64", help="volume size, one value or x,y,z")
-    p.add_argument("--spacing", default="1", help="voxel spacing in um, one value or x,y,z")
-    p.add_argument("--n-cells", type=int, default=30)
-    p.add_argument("--membrane-width", type=int, default=1)
-    p.add_argument("--membrane-intensity", type=float, default=0.9)
-    p.add_argument("--interior-intensity", type=float, default=0.15)
-    p.add_argument("--attenuation", type=float, default=1.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--blur-sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dims", help="volume size, one value or x,y,z")
+    p.add_argument("--spacing", help="voxel spacing in um, one value or x,y,z")
+    p.add_argument("--n-cells", type=int)
+    p.add_argument("--membrane-width", type=int)
+    p.add_argument("--membrane-intensity", type=float)
+    p.add_argument("--interior-intensity", type=float)
+    p.add_argument("--attenuation", type=float)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--blur-sigma", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--patches-dir", help="also cut a labeled training-patch dataset")
-    p.add_argument("--patches-per-class", type=int, default=20)
+    p.add_argument("--patches-per-class", type=int)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train the patch classifier")
+    p = sub.add_parser("train", help="train the patch classifier", exit_on_error=False)
     p.add_argument("--dataset", required=True, help="patch dataset directory")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--keep-prob", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--keep-prob", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a labeling against ground truth")
+    p = sub.add_parser("eval", help="score a labeling against ground truth", exit_on_error=False)
     p.add_argument("pred")
     p.add_argument("truth")
     p.add_argument("--layer-mask", help="label volume assigning truth cells to layers")
@@ -392,8 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
+        with stage("config", 2):
+            args = parser.parse_args(argv)
+            if getattr(args, "config", None):  # the file's lines go ahead of the flags
+                at = argv.index("segment") + 1
+                args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
         return args.func(args)
     except CliError as exc:
         print(f"error [stage {exc.stage}]: {exc}", file=sys.stderr)

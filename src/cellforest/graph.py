@@ -23,9 +23,6 @@ class RegionStats:
     volume: float
     intensity_sum: float
 
-    def mean_intensity(self) -> float:
-        return self.intensity_sum / self.voxel_count
-
 
 @dataclass
 class BoundaryStats:

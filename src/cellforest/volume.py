@@ -101,7 +101,7 @@ class LabelVolume:
             raise ValueError("volume must be non-empty")
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
-        if self.labels.size and int(self.labels.min()) < 0:
+        if int(self.labels.min()) < 0:
             raise ValueError("labels must be non-negative")
         self.spacing = _check_spacing(self.spacing)
 
@@ -210,13 +210,10 @@ def write_volume(v: Volume, path: str) -> str:
         "data": data_name,
     }
     dir_name = os.path.dirname(header_path)
-    try:
-        with open(header_path, "w", encoding="utf-8") as fh:
-            json.dump(header, fh)
-            fh.write("\n")
-        out.tofile(os.path.join(dir_name, data_name))
-    except IsADirectoryError:
-        raise
+    with open(header_path, "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+        fh.write("\n")
+    out.tofile(os.path.join(dir_name, data_name))
     return header_path
 
 

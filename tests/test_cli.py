@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from cellforest import cli
-from cellforest.cli import load_config, main
+from cellforest.cli import CliError, load_config, main, segment
+from cellforest.merging import MergeParams, load_forest
 from cellforest.metrics import match_segments
-from cellforest.volume import ScalarVolume, read_volume, write_volume
+from cellforest.phantom import PhantomParams, generate_phantom
+from cellforest.volume import LabelVolume, ScalarVolume, read_volume, write_volume
 
 
 def run(capsys, *argv):
@@ -190,6 +192,49 @@ def test_bad_preprocess_parameters_is_config_failure(
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize(
+    "option, value", [("r-cl-max", "abc"), ("v-min-um3", "x"), ("classifier", "bogus")]
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unparsable_value_is_config_failure(phantom, tmp_path, capsys, option, value, source):
+    # a bad flag value used to print argparse's usage text instead of naming the stage
+    extra = [f"--{option}", value]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        extra = ["--config", str(cfg)]
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
+                     str(tmp_path / "out"), "--v-max-um3", "4000", *extra)
+    assert rc == 2
+    assert err.startswith("error [stage config]:")
+    assert f"--{option}" in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_synth_zero_patches_per_class_fails_before_rendering(tmp_path, capsys):
+    # used to write the image and truth volumes, then exit 4 in stage synth
+    rc, _, err = run(capsys, "synth", "--output-prefix", str(tmp_path / "p"), "--dims", "16",
+                     "--n-cells", "4", "--patches-dir", str(tmp_path / "pd"),
+                     "--patches-per-class", "0")
+    assert rc == 2
+    assert err.startswith("error [stage config]:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_synth_defaults_are_phantom_params_defaults(tmp_path, capsys):
+    # the flags declare no defaults of their own; PhantomParams owns them
+    (tmp_path / "cli").mkdir()
+    (tmp_path / "lib").mkdir()
+    rc, _, _ = run(capsys, "synth", "--output-prefix", str(tmp_path / "cli" / "ph"), "--dims", "24")
+    assert rc == 0
+    img, truth = generate_phantom(PhantomParams(dims=(24, 24, 24)))
+    write_volume(img, str(tmp_path / "lib" / "ph.image.mvol.json"))
+    write_volume(truth, str(tmp_path / "lib" / "ph.truth.mvol.json"))
+    for name in ("image.raw", "image.mvol.json", "truth.raw", "truth.mvol.json"):
+        cli_bytes = (tmp_path / "cli" / f"ph.{name}").read_bytes()
+        assert cli_bytes == (tmp_path / "lib" / f"ph.{name}").read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -240,6 +285,25 @@ def test_command_line_overrides_config(phantom, tmp_path, capsys):
     )
     assert rc == 0
     assert "classifier: none" in (tmp_path / "out.report.txt").read_text()
+
+
+def test_config_input_runs_segment(phantom, tmp_path, capsys):
+    cfg = tmp_path / "seg.cfg"
+    cfg.write_text(f"input = {phantom}.image.mvol.json\nv_min_um3 = 200\nv_max_um3 = 4000\n"
+                   f"output_prefix = {tmp_path / 'file'}\ndump_stages = yes\n")
+    rc, _, _ = run(capsys, "segment", "--config", str(cfg))
+    assert rc == 0
+    assert (tmp_path / "file.labels.mvol.json").exists()
+    assert (tmp_path / "file.pre.mvol.json").exists()
+    # an input on the command line beats the file's, as does --output-prefix
+    cfg.write_text(f"input = {tmp_path / 'absent.mvol.json'}\nv_min_um3 = 200\n"
+                   f"v_max_um3 = 4000\noutput_prefix = {tmp_path / 'file2'}\ndump_stages = no\n")
+    rc, _, _ = run(capsys, "segment", "--config", str(cfg), f"{phantom}.image.mvol.json",
+                   "--output-prefix", str(tmp_path / "flag"))
+    assert rc == 0
+    assert (tmp_path / "flag.labels.raw").read_bytes() == (tmp_path / "file.labels.raw").read_bytes()
+    assert not list(tmp_path.glob("file2*"))
+    assert not (tmp_path / "flag.pre.mvol.json").exists()
 
 
 @pytest.mark.parametrize("option, in_file", [("r-cl-max", "2"), ("v-min-um3", "200")])
@@ -684,6 +748,90 @@ def test_forest_from_another_run_is_data_error(forest_runs, tmp_path, capsys):
     assert not (tmp_path / "other.labels.mvol.json").exists()
 
 
+def test_config_accepts_every_segment_option(forest_runs, tmp_path, capsys):
+    run3 = forest_runs[0]
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        f"input = {run3.parent / 'ph3.image.mvol.json'}\noutput_prefix = {tmp_path / 'out'}\n"
+        "v_min_um3 = 2500\nv_max_um3 = 12000\nr_min_um = 50\nsigma = 1\nr_cl_max = 3\n"
+        f"classifier = none\nmodel_path = {tmp_path / 'unused.bin'}\ndump_stages = yes\n"
+        f"preprocessed_in = {run3}.pre.mvol.json\nsupervoxels_in = {run3}.sv.mvol.json\n"
+        f"forest_in = {run3}.forest.txt\n"
+    )
+    rc, _, _ = run(capsys, "segment", "--config", str(cfg))
+    assert rc == 0
+    assert (tmp_path / "out.labels.raw").read_bytes() == Path(f"{run3}.labels.raw").read_bytes()
+
+
+def small_run(root):
+    """Stage artifacts of a 20^3 phantom, to resume a 24^3 run from."""
+    assert main(["synth", "--output-prefix", str(root / "ph20"), "--dims", "20",
+                 "--n-cells", "5", "--seed", "4"]) == 0
+    assert main(["segment", str(root / "ph20.image.mvol.json"), "--output-prefix",
+                 str(root / "run20"), "--dump-stages", *FOREST_FLAGS]) == 0
+    return root / "run20"
+
+
+@pytest.mark.parametrize("classifier", ["none", "heuristic"])
+def test_supervoxels_of_another_shape_are_data_error(forest_runs, tmp_path, capsys, classifier):
+    # under none this exited 0 with 3 segments; under heuristic it failed in
+    # stage resolve with a numpy broadcast error
+    other = small_run(tmp_path)
+    rc, _, err = run(capsys, "segment", "--preprocessed-in", f"{forest_runs[0]}.pre.mvol.json",
+                     "--supervoxels-in", f"{other}.sv.mvol.json", "--forest-in",
+                     f"{other}.forest.txt", "--output-prefix", str(tmp_path / "out"),
+                     "--classifier", classifier, *FOREST_FLAGS)
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+    assert "supervoxels" in err
+    assert not (tmp_path / "out.labels.mvol.json").exists()
+
+
+def test_supervoxels_of_another_spacing_are_data_error(forest_runs, tmp_path, capsys):
+    run3 = forest_runs[0]
+    sv = read_volume(f"{run3}.sv.mvol.json")
+    path = write_volume(LabelVolume(sv.labels, (2.0, 1.0, 1.0)), str(tmp_path / "sv.mvol.json"))
+    rc, _, err = run(capsys, "segment", "--preprocessed-in", f"{run3}.pre.mvol.json",
+                     "--supervoxels-in", path, "--output-prefix", str(tmp_path / "out"),
+                     *FOREST_FLAGS)
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+
+
+@pytest.mark.parametrize("classifier", ["none", "heuristic"])
+def test_preprocessed_volume_outside_unit_range_is_data_error(
+    phantom, tmp_path, capsys, classifier
+):
+    # a raw u16 stack handed to --preprocessed-in used to exit 0 under none
+    img = read_volume(f"{phantom}.image.mvol.json")
+    stack = ScalarVolume(np.round(img.data * 3000 + 200).astype(np.uint16), img.spacing)
+    path = write_volume(stack, str(tmp_path / "u16.mvol.json"))
+    rc, _, err = run(capsys, "segment", "--preprocessed-in", path, "--output-prefix",
+                     str(tmp_path / "out"), "--classifier", classifier, *SEG_FLAGS)
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+    assert "[0, 1]" in err
+    assert not (tmp_path / "out.labels.mvol.json").exists()
+
+
+def test_library_segment_checks_resumed_artifacts(forest_runs):
+    run3 = forest_runs[0]
+    pre = read_volume(f"{run3}.pre.mvol.json")
+    sv = read_volume(f"{run3}.sv.mvol.json")
+    params = MergeParams(v_min=2500.0, v_max=12000.0)
+    assert segment(None, params, pre=pre, sv=sv, forest=load_forest(f"{run3}.forest.txt"))
+    bad = [
+        {"pre": ScalarVolume(pre.data * 2, pre.spacing)},
+        {"pre": ScalarVolume(pre.data - 0.5, pre.spacing)},
+        {"pre": pre, "sv": LabelVolume(sv.labels[1:], sv.spacing)},
+        {"pre": pre, "sv": LabelVolume(sv.labels, (1.0, 1.0, 3.0))},
+    ]
+    for given in bad:
+        with pytest.raises(CliError) as exc:
+            segment(None, params, **given)
+        assert (exc.value.stage, exc.value.code) == ("data", 4)
+
+
 # ---------------------------------------------------------------------------
 # evaluation command
 
@@ -746,6 +894,14 @@ def test_eval_layer_mask_rows(phantom, capsys, tmp_path):
     assert rc == 0
     assert "lmtest[layer 1]" in out
     assert out.count("[layer") >= 2
+
+
+def test_eval_bad_background_is_config_failure(phantom, capsys):
+    # used to exit 1 with a ValueError traceback
+    rc, _, err = run(capsys, "eval", f"{phantom}.truth.mvol.json", f"{phantom}.truth.mvol.json",
+                     "--background", "x")
+    assert rc == 2
+    assert err.startswith("error [stage config]:")
 
 
 # ---------------------------------------------------------------------------
