@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .classify import ClassProbs, Patch, extract_patch, heuristic_probs, hypothesis_classifier
-from .cli import segment
 from .graph import RegionGraph, build_region_graph
 from .merging import (
     MergeForest,
@@ -70,3 +69,11 @@ __all__ = [
     "write_volume",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """``segment`` loads ``cli`` on first use, so ``python -m cellforest.cli`` runs one copy."""
+    if name == "segment":
+        from .cli import segment
+        return segment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -134,7 +134,8 @@ def extract_patch(
         raise ValueError(f"forest node {node_id} covers no voxels")
     lo = np.min([[s.start for s in box] for box in found], axis=0)
     hi = np.max([[s.stop for s in box] for box in found], axis=0) - 1
-    keep = (lambda w: np.isin(supervoxels.labels[w], leaves)) if mask_background else None
+    member = np.bincount(leaves, minlength=len(boxes) + 1) > 0  # a table indexed by label
+    keep = (lambda w: member[supervoxels.labels[w]]) if mask_background else None
     return Patch(np.ascontiguousarray(crop_patch(v.data, lo, hi, keep=keep)))
 
 

@@ -1,35 +1,33 @@
 """Conservative over-segmentation by all-minima seeded watershed.
 
-Seeds are every plateau-connected local minimum of the preprocessed
-volume (26-connectivity), flooded with a 6-connected priority flood.
-Skipping any minima suppression keeps the supervoxels conservative: they
-may split cells but should never span two of them.
+Seeds are every plateau-connected local minimum of the preprocessed volume
+(26-connectivity), flooded with a 6-connected priority flood. Skipping any
+minima suppression keeps the supervoxels conservative: they may split cells but
+should never span two of them.
 
-``seeded_watershed`` follows its queue without running it. A voxel takes
-the label of its *parent*, the 6-neighbour processed first (seeds, in
-scan order, then pops), so pointer jumping gives the labels once the pop
-order is known. It has a closed form:
+``seeded_watershed`` follows its queue without running it. A voxel takes the
+label of its *parent*, the 6-neighbour processed first (seeds, in scan order,
+then pops), so pointer jumping gives the labels once the pop order is known. It
+has a closed form:
 
-* The water level lam(v) is the minimax rank over paths from the seeds:
-  rank(v) where a non-increasing path reaches a seed, else relaxed. Only
-  *pit* voxels (lam > rank: seedless depressions, e.g. at a 6-minimum
-  that is no 26-minimum) pop out of rank order.
-* The generation gen(v), v's FIFO layer in its level, is 0 next to a
-  lower level, else one more than its earliest equal-level neighbour's.
-* Outside pits, v pops in the order of (lam, gen, parent's order, v's
-  direction from it). A pit component is flooded right after its *host*,
-  the first rim voxel to pop: it takes gen(host), its voxels order as
-  (host, position in that sub-flood) and the rank-lam voxels it pushes
-  get gen(host) + 1. Positions order the voxels of one pit and
-  directions the children of one voxel, each a set of one label, so
-  neither is computed.
-* A voxel tied on (lam, gen) takes a candidate's label, and is settled
-  (walking both parent chains until the keys differ) only where its
-  candidates' labels disagree. Chains that meet compare equal, so the
-  parent or host chosen is the true one or a sibling of it: the same key
-  chain and the same label. Then the labels are exact, by induction in
-  pop order: a voxel's true parent pops before it and is one of its
-  candidates.
+* The water level lam(v) is the minimax rank over paths from the seeds: rank(v)
+  where a non-increasing path reaches a seed, else relaxed. Only *pit* voxels
+  (lam > rank: seedless depressions, e.g. at a 6-minimum that is no 26-minimum)
+  pop out of rank order.
+* The generation gen(v), v's FIFO layer in its level, is 0 next to a lower
+  level, else one more than its earliest equal-level neighbour's.
+* Outside pits, v pops in the order of (lam, gen, parent's order, v's direction
+  from it). A pit component is flooded right after its *host*, the first rim
+  voxel to pop: it takes gen(host), its voxels order as (host, position in that
+  sub-flood) and the rank-lam voxels it pushes get gen(host) + 1. Positions
+  order the voxels of one pit and directions the children of one voxel, each a
+  set of one label, so neither is computed.
+* A voxel tied on (lam, gen) takes a candidate's label, and is settled (walking
+  both parent chains until the keys differ) only where its candidates' labels
+  disagree. Chains that meet compare equal, so the parent or host chosen is the
+  true one or a sibling of it: the same key chain and the same label. Then the
+  labels are exact, by induction in pop order: a voxel's true parent pops
+  before it and is one of its candidates.
 """
 
 from __future__ import annotations
@@ -44,17 +42,13 @@ from scipy import ndimage as ndi
 from .preprocess import box_filter
 from .volume import LabelVolume, ScalarVolume
 
-_CUBE = np.ones((3, 3, 3), dtype=bool)
-
-
 @dataclass
 class MinimaSet:
     """Plateau-connected minimum regions of a volume.
 
-    ``seed_labels`` holds component ids 1..n at minimum voxels, 0
-    elsewhere; ``plateau_values`` maps component id - 1 to the plateau
-    intensity. Components are ordered by first occurrence in x-fastest
-    scan order.
+    ``seed_labels`` holds component ids 1..n at minimum voxels, 0 elsewhere;
+    ``plateau_values`` maps component id - 1 to the plateau intensity.
+    Components are ordered by first occurrence in x-fastest scan order.
     """
 
     seed_labels: np.ndarray
@@ -75,9 +69,8 @@ def find_local_minima(v: ScalarVolume) -> MinimaSet:
         raise ValueError("find_local_minima requires finite intensities")
     # the minimum over the 3x3x3 cube includes the center, so it is < a
     # exactly where some 26-neighbor is strictly lower. Replicated borders
-    # never fabricate lower values.
+    # never fabricate lower values. The other voxels are candidates.
     has_lower = box_filter(a, [(1, 1, 1)], np.minimum) < a
-    cand = ~has_lower
 
     # A candidate next to an equal-valued voxel that has a lower neighbor
     # sits on a plateau that descends somewhere, so its component is
@@ -85,21 +78,13 @@ def find_local_minima(v: ScalarVolume) -> MinimaSet:
     # least value among its neighbors with a lower neighbor is its own.
     touches_descent = box_filter(np.where(has_lower, a, np.inf), [(1, 1, 1)], np.minimum) == a
 
-    comp_labels, n_comp = ndi.label(cand, structure=_CUBE)
-    bad = np.unique(comp_labels[cand & touches_descent])
-    keep = np.setdiff1d(np.arange(1, n_comp + 1), bad)
-
-    remap = np.zeros(n_comp + 1, dtype=np.int32)
-    remap[keep] = np.arange(1, len(keep) + 1, dtype=np.int32)
-    seed_labels = remap[comp_labels]
-
-    flat = a.ravel()
-    seeds_flat = seed_labels.ravel()
-    first = np.full(len(keep) + 1, -1, dtype=np.int64)
-    nz_idx = np.flatnonzero(seeds_flat)
-    # reversed scan keeps the first occurrence per component
-    first[seeds_flat[nz_idx[::-1]]] = nz_idx[::-1]
-    return MinimaSet(seed_labels, flat[first[1:]])
+    comp_labels, n_comp = ndi.label(~has_lower, structure=np.ones((3, 3, 3)))
+    keep = np.arange(n_comp + 1) > 0
+    keep[comp_labels[~has_lower & touches_descent]] = False
+    seed_labels = (np.cumsum(keep, dtype=np.int32) * keep)[comp_labels]
+    values = np.zeros(keep.sum() + 1)
+    values[seed_labels.ravel()[::-1]] = a.ravel()[::-1]  # a component's first voxel last
+    return MinimaSet(seed_labels, values[1:])
 
 
 class _Unknown(Exception):
@@ -107,81 +92,88 @@ class _Unknown(Exception):
 
 
 def _roots(ptr: np.ndarray) -> np.ndarray:
-    """The root (self-pointing end) of every pointer chain, by pointer jumping."""
-    while not np.array_equal(nxt := ptr[ptr], ptr):
-        ptr = nxt
+    """Jump every pointer, in place, to its chain's end: the first negative value."""
+    todo = list(range(0, len(ptr), 1 << 15))
+    for a in todo:  # a block with pointers short of the end queues again
+        p = ptr[a:a + (1 << 15)]
+        p[p >= 0] = ptr[p[p >= 0]]
+        if (p >= 0).any():
+            todo.append(a)
     return ptr
 
 
 def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     """Priority flood from the seed components over 6-connectivity.
 
-    Every voxel receives exactly one label (no watershed-line voxels).
-    Queue discipline: entries are popped in non-decreasing intensity of
-    the target voxel, FIFO among equal intensities. Insertion order is
-    fixed: seed voxels in x-fastest scan order, then per popped voxel its
-    unlabeled neighbors in x-, x+, y-, y+, z-, z+ order, which makes the
-    result deterministic.
+    Every voxel receives exactly one label (no watershed-line voxels). Queue
+    discipline: entries are popped in non-decreasing intensity of the target
+    voxel, FIFO among equal intensities. Insertion order is fixed: seed voxels
+    in x-fastest scan order, then per popped voxel its unlabeled neighbors in
+    x-, x+, y-, y+, z-, z+ order, which makes the result deterministic.
 
     The module docstring derives the labels from this specification.
-    Intensities are ranked by ``np.unique``; non-finite ones raise.
+    Intensities are ranked by sorting their float64 bits as sign and
+    magnitude, so -0.0 ranks with 0.0; non-finite ones raise.
     """
-    if len(seeds) == 0:
-        raise ValueError("seeded_watershed requires at least one seed component")
     a = np.asarray(v.data, dtype=np.float64)
-    if a.shape != seeds.seed_labels.shape:
-        raise ValueError("seed array shape does not match volume")
+    if len(seeds) == 0 or a.shape != seeds.seed_labels.shape:
+        raise ValueError("seeded_watershed requires seed components on the volume's grid")
     if not np.isfinite(a).all():
         raise ValueError("seeded_watershed requires finite intensities")
 
-    # Flat indices into a grid padded with label -1, rank big; [lo, hi) is inside.
-    big = np.iinfo(np.int32).max
-    r = np.full(np.add(a.shape, 2), big, dtype=np.int32)
-    r[1:-1, 1:-1, 1:-1] = np.unique(a, return_inverse=True)[1].reshape(a.shape)
+    # Ranks from the sorted values' bits, seeds at -1, in flat indices into a
+    # grid padded with rank a.size; [lo, hi) is inside.
+    k = np.abs(a).view(np.int64).ravel()
+    np.negative(k, out=k, where=(a < 0).ravel())
+    order, rank = k.argsort(), np.zeros(a.size, dtype=np.int32)
+    k.sort()
+    np.not_equal(k[1:], k[:-1], out=rank[1:])
+    del k
+    rank[order] = np.cumsum(rank, out=rank)
+    rank[seeds.seed_labels.ravel() > 0] = -1
+    r = np.pad(rank.reshape(a.shape), 1, constant_values=a.size)
+    del order, rank
     pshape, r = r.shape, r.ravel()
-    lp = np.pad(seeds.seed_labels.astype(np.int32), 1, constant_values=-1).ravel()
     steps = (-1, 1, -pshape[2], pshape[2], -pshape[1] * pshape[2], pshape[1] * pshape[2])
     n, lo, hi = r.size, steps[5] + steps[3] + 1, r.size - steps[5] - steps[3] - 1
-    every = np.arange(n, dtype=np.int32)
-    idx = every[lo:hi]
-    free = lp[lo:hi] == 0
+    free, sidx = (r[lo:hi] >= 0) & (r[lo:hi] < a.size), np.flatnonzero(r < 0)
 
-    # Descent pointers: to a lowest neighbour if it is lower, else (on a
-    # plateau with no lower neighbour) to an exit of the plateau, if any.
-    ptr = every.copy()
+    # Descent pointers: to a lowest neighbour if lower, else (on a plateau with
+    # no lower neighbour) to the plateau's exit, if any; -2 at seeds, else -1.
+    ptr = ~(r < 0).astype(np.int32)
     low = reduce(np.minimum, [r[lo + s:hi + s] for s in steps])
     for s in steps:
-        np.copyto(ptr[lo:hi], idx + s, where=free & (r[lo + s:hi + s] == low) & (low < r[lo:hi]))
-    flat = np.zeros(n, dtype=bool)
-    flat[lo:hi] = free & (low == r[lo:hi])
+        np.copyto(ptr[lo:hi], np.arange(lo + s, hi + s, dtype=np.int32),
+                  where=free & (low < r[lo:hi]) & (r[lo + s:hi + s] == low))
+    flat = np.pad(free & (low == r[lo:hi]), (lo, n - hi))
+    del low
     plateau = ndi.label(flat.reshape(pshape))[0].ravel()
     exits = np.full(plateau.max() + 1, -1, dtype=np.int32)
     for s in steps:
-        e = idx[flat[lo:hi] & ~flat[lo + s:hi + s] & (r[lo + s:hi + s] == r[lo:hi])]
+        e = lo + np.flatnonzero(flat[lo:hi] & ~flat[lo + s:hi + s] & (r[lo + s:hi + s] == r[lo:hi]))
         exits[plateau[e]] = e + s
-    ptr[flat] = np.where(exits[plateau[flat]] >= 0, exits[plateau[flat]], every[flat])
+    ptr[flat] = exits[plateau[flat]]
 
     # Water levels: rank where the descent reaches a seed, else the
     # minimax, relaxed to a fixed point. Seeds get level -1.
-    lam = np.where(lp > 0, -1, r)
-    wet = idx[free & (lp[_roots(ptr)][lo:hi] == 0)]
-    del low, ptr, flat, plateau
-    lam[wet], near = big, wet[:, None] + np.array(steps, dtype=np.int32)
+    wet = lo + np.flatnonzero(free & (_roots(ptr)[lo:hi] == -1))
+    del flat, plateau, ptr
+    lam = r.copy()
+    lam[wet], near = a.size, wet[:, None] + np.array(steps)
     while not np.array_equal(t := np.maximum(r[wet], lam[near].min(1)), lam[wet]):
         lam[wet] = t
 
-    # Generations: 0 next to a lower level, else BFS depth within the
-    # level, where a pit component takes the generation of its host (the
-    # smallest on its rim) and passes on one more.
+    # Generations: 0 next to a lower level, else BFS depth in the level; a pit
+    # component takes its host's (the least on its rim) and passes on one more.
     comp = ndi.label((lam > r).reshape(pshape))[0].ravel()
-    pits = np.flatnonzero(comp)
-    gen = np.zeros(n, dtype=np.int32)
-    t = idx[free & (reduce(np.minimum, [lam[lo + s:hi + s] for s in steps]) >= lam[lo:hi])]
-    gen[t] = -1
+    del r, wet, near
+    t = reduce(np.minimum, [lam[lo + s:hi + s] for s in steps]) >= lam[lo:hi]
+    t, pits, gen = lo + np.flatnonzero(free & t), np.flatnonzero(comp), np.zeros(n, dtype=np.int32)
+    gen[t], gen[sidx] = -1, sidx + 1  # seeds' keys below all, in scan order
 
     def fresh(front):
         """Voxels next to front, on its level, that have no generation yet."""
-        nb = (front[:, None] + np.array(steps, dtype=np.int32)).ravel()
+        nb = (front[:, None] + np.array(steps)).ravel()
         return np.unique(nb[(gen[nb] < 0) & (lam[nb] == np.repeat(lam[front], 6))])
 
     new = t[reduce(np.logical_or, [(gen[t + s] == 0) & (lam[t + s] == lam[t]) for s in steps])]
@@ -193,11 +185,14 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
         if not len(new := fresh(new)):
             break
 
-    # Order keys (lam, gen) in one int64; seeds below all, in scan order.
-    kk = np.where(lp > 0, every - np.int64(n), lam.astype(np.int64) * (n + 1) + gen)
-    par = np.where(lp > 0, every, -1)
-    K, PAR, COMP = map(memoryview, (kk, par, comp))
-    host = {}  # pit voxel -> (its host, 1): it pops right after the host
+    # Order keys (lam, gen) in one int64.
+    cof = dict(zip(pits.tolist(), comp[pits].tolist()))  # pit voxel -> its component
+    del comp, t, new
+    kk = np.multiply(lam, n + 1, dtype=np.int64)
+    kk += gen
+    del lam, gen
+    par = np.full(n, -1, dtype=np.int32)
+    K, PAR, host = memoryview(kk), memoryview(par), {}  # host: pit voxel -> (its host, 1)
 
     def before(x, y):
         """Negative if x is processed before y, 0 for children of one voxel."""
@@ -214,13 +209,11 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     def pick(x):
         """Set the exact parent of x: its first neighbour."""
         if PAR[x] < 0:
-            near = [x + s for s in steps]
-            first = min(K[y] for y in near)
-            PAR[x] = min((y for y in near if K[y] == first), key=cmp_to_key(before))
+            first = min(K[x + s] for s in steps)
+            PAR[x] = min((x + s for s in steps if K[x + s] == first), key=cmp_to_key(before))
 
-    def settle(task):
-        """Run task() once the exact parents its comparisons need are set."""
-        todo = [task]
+    def settle(todo):
+        """Run the tasks on the list once the exact parents they compare are set."""
         while todo:
             try:
                 todo[-1]()
@@ -229,40 +222,45 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
                 todo.append(partial(pick, need.args[0]))
 
     # Hosts, by increasing key: each pit component's first rim voxel.
-    for _, vox in groupby(sorted(pits.tolist(), key=lambda x: (K[x], COMP[x])), COMP.__getitem__):
+    for _, vox in groupby(sorted(pits.tolist(), key=lambda x: (K[x], cof[x])), cof.__getitem__):
         vox = list(vox)
-        rim = {x + s for x in vox for s in steps if COMP[x + s] == 0 and K[x + s] == K[x]}
-        settle(lambda: host.update(dict.fromkeys(vox, (min(rim, key=cmp_to_key(before)), 1))))
+        rim = {x + s for x in vox for s in steps if x + s not in cof and K[x + s] == K[x]}
+        settle([lambda: host.update(dict.fromkeys(vox, (min(rim, key=cmp_to_key(before)), 1)))])
         par[vox] = host[vox[0]][0]
 
-    # Parents of the rest: the unique neighbour first by key, else a tie.
-    first = reduce(np.minimum, [kk[lo + s:hi + s] for s in steps])
-    hits = [kk[lo + s:hi + s] == first for s in steps]
-    open_ = free & (par[lo:hi] < 0)
-    one = open_ & (sum(h.view(np.int8) for h in hits) == 1)
-    for s, h in zip(steps, hits):
-        np.copyto(par[lo:hi], idx + s, where=one & h)
-    tied = idx[open_ & ~one]
-    cand = np.stack([np.where(h[tied - lo], tied + s, -1) for s, h in zip(steps, hits)])
-    del r, lam, gen, first, hits
+    # Parents of the rest, a block at a time: the unique neighbour first by
+    # key, else a tie whose candidates are those neighbours (c, with repeats).
+    cand, st = [], np.array(steps, dtype=np.int32)[:, None]
+    for a in range(lo, hi, step := n // 64 + 1):
+        b = min(a + step, hi)
+        k6 = np.stack([kk[a + s:b + s] for s in steps])
+        c = np.where(k6 == k6.min(0), np.arange(a, b, dtype=np.int32) + st, -1)
+        np.copyto(c, c.max(0), where=c < 0)
+        open_ = free[a - lo:b - lo] & (par[a:b] < 0)
+        one = open_ & (c.min(0) == c.max(0))
+        np.copyto(par[a:b], c[0], where=one)
+        cand.append(c[:, open_ & ~one])
+    tied, cand = lo + np.flatnonzero(free & (par[lo:hi] < 0)), np.concatenate(cand, axis=1)
+    del free, k6, c
 
-    # Labels: roots are seeds or tied voxels. On the graph compressed to
-    # them (nodes: tied voxels, then labels) a tied voxel points to a
-    # candidate's root, or to its exact parent's once candidates disagree.
-    root = _roots(np.where(par >= 0, par, every))
-    code = np.where(lp > 0, len(tied) + lp, 0)
-    code[tied] = np.arange(len(tied))
-    cnode = np.where(cand >= 0, code[root[cand]], -1)
-    link = np.concatenate([cnode.max(0), np.arange(len(tied), code.max() + 1)])
+    # Labels: parent chains end (~node) at seeds, label l as node l - 1, or at
+    # tied voxels, i as node m + i. A tied voxel links to a candidate's node,
+    # or to its exact parent's once the candidates' labels disagree.
+    m, node = len(seeds), par.copy()
+    node[sidx] = -seeds.seed_labels[seeds.seed_labels > 0]
+    node[tied] = ~np.arange(m, m + len(tied), dtype=np.int32)
+    np.invert(_roots(node), out=node)
+    for c in cand:
+        c[:] = node[c]
+    link = np.concatenate([~np.arange(m, dtype=np.int32), cand.max(0)])
     while True:
         done = par[tied] >= 0
-        link[: len(tied)][done] = code[root[par[tied[done]]]]
-        lab = np.where(cnode >= 0, _roots(link)[cnode], -1)
-        clash = ~done & (np.where(lab >= 0, lab, big).min(0) != lab.max(0))
+        link[m:][done] = node[par[tied[done]]]
+        lab = _roots(link.copy())
+        clash = ~done & reduce(np.logical_or, (lab[c] != lab[cand[0]] for c in cand[1:]))
         if not clash.any():
             break
-        for t in tied[clash].tolist():
-            settle(partial(pick, t))
-    code[tied] = _roots(link)[: len(tied)]
-    out = (code[root] - len(tied)).reshape(pshape)[1:-1, 1:-1, 1:-1]
-    return LabelVolume(np.ascontiguousarray(out, dtype=np.int32), v.spacing)
+        settle([partial(pick, t) for t in tied[clash].tolist()])
+    del K, PAR, kk, par
+    out = _roots(link)[node.reshape(pshape)[1:-1, 1:-1, 1:-1]]
+    return LabelVolume(np.negative(out, out=out), v.spacing)

@@ -1,5 +1,7 @@
 """Patch extraction and the two hypothesis classifiers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,28 @@ def test_box_bounded_extract_patch_equals_whole_volume_extraction(case, masked):
         got = extract_patch(v, forest, node_id, sv, boxes, masked)
         ref = node_patch_reference(v.data, sv.labels, forest.leaves_under(node_id), masked)
         assert np.array_equal(got.data.view(np.int64), ref.astype(np.float64).view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_forests())
+def test_extract_patch_mask_equals_isin(case):
+    # the background mask is a lookup table indexed by label; it must keep
+    # exactly the voxels np.isin keeps, over the whole volume
+    v, sv, forest = case
+    boxes = ndi.find_objects(sv.labels)
+    keeps = []
+
+    def spy(data, lo, hi, keep=None):
+        keeps.append(keep)
+        return crop_patch(data, lo, hi, keep=keep)
+
+    with mock.patch("cellforest.classify.crop_patch", spy):
+        for node_id in sorted(forest.nodes):
+            extract_patch(v, forest, node_id, sv, boxes, True)
+    whole = (slice(None),) * 3
+    for node_id, keep in zip(sorted(forest.nodes), keeps):
+        expected = np.isin(sv.labels, forest.leaves_under(node_id))
+        np.testing.assert_array_equal(keep(whole), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -53,6 +56,18 @@ SEG_FLAGS = ["--v-min-um3", "200", "--v-max-um3", "4000"]
 
 # ---------------------------------------------------------------------------
 # exit codes and stage names
+
+
+def test_module_entry_point_imports_cli_once():
+    # cellforest/__init__.py resolves ``segment`` lazily; an eager import of
+    # .cli made ``python -m cellforest.cli`` warn and run a second copy
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cellforest.cli", "eval", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_missing_input_is_io_failure(tmp_path, capsys):

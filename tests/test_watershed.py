@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage as ndi
 
 from cellforest.phantom import PhantomParams, generate_phantom
-from cellforest.preprocess import gaussian_smooth, iterative_closing
-from cellforest.volume import ScalarVolume
+from cellforest.preprocess import PreprocessParams, gaussian_smooth, iterative_closing
+from cellforest.volume import ScalarVolume, normalize
 from cellforest.watershed import MinimaSet, find_local_minima, seeded_watershed
 
 from oracles import (
@@ -208,6 +209,65 @@ def test_watershed_labels_pinned_on_preprocessed_phantom():
     assert labels.dtype == np.int32 and labels.flags.c_contiguous
     digest = hashlib.sha256(labels.astype("<i4").tobytes()).hexdigest()
     assert digest == "4582f83fd335bf72b9b0afc3a75fbdcc4c6760ae8d07ee90305c0b341600651f"
+
+
+@pytest.fixture(scope="module")
+def segment_96():
+    """The benchmark's segment_96 input (phantom seed 1), preprocessed as
+    ``segment`` does, and its minima."""
+    img, _ = generate_phantom(
+        PhantomParams(
+            dims=(96, 96, 96), n_cells=90, membrane_width=2, attenuation=0.99,
+            noise_sigma=0.05, blur_sigma=0.6, seed=1,
+        )
+    )
+    p = PreprocessParams()
+    pre = iterative_closing(gaussian_smooth(normalize(img), p.sigma), p.r_cl_max)
+    return pre, find_local_minima(pre)
+
+
+def test_watershed_labels_pinned_on_segment_96_phantom(segment_96):
+    # recorded with the flood that ranked by np.unique and held 62 bytes
+    # per voxel; the CLI writes the same supervoxels for this phantom
+    pre, m = segment_96
+    labels = seeded_watershed(pre, m).labels
+    digest = hashlib.sha256(labels.astype("<i4").tobytes()).hexdigest()
+    assert digest == "0a7e4b6ede63d1e3b4d845bc92b129ee3530b67374de71c07fb18493401bfd91"
+
+
+def test_watershed_peak_memory_per_voxel(segment_96):
+    # the flood's working arrays above its inputs, output included; it was
+    # 62 bytes per voxel before the int32 ranks, blocked passes and early frees
+    pre, m = segment_96
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seeded_watershed(pre, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_voxel = (peak - before) / pre.data.size
+    assert per_voxel <= 24, f"flood peak {per_voxel:.1f} bytes per voxel"
+
+
+@st.composite
+def signed_leveled_volumes(draw):
+    """Volumes up to 6^3 on levels with both signs, -0.0 next to 0.0 and the
+    smallest subnormals, so ranking by the bits must fold the sign."""
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    tiny = np.nextafter(0.0, 1.0)
+    levels = [-1e300, -1.0, -0.5, -tiny, -0.0, 0.0, tiny, 0.5, 1.0]
+    return draw(arrays(np.float64, shape, elements=st.sampled_from(levels)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_leveled_volumes())
+def test_watershed_matches_flood_reference_on_signed_values(data):
+    v = as_volume(data)
+    m = find_local_minima(v)
+    np.testing.assert_array_equal(
+        seeded_watershed(v, m).labels, flood_reference(data, m.seed_labels)
+    )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
