@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .classify import hypothesis_classifier
-from .cnn import DatasetError, TrainConfig, load_model, save_model, train
+from .cnn import DatasetError, TrainConfig, concurrent_map, load_model, save_model, train
 from .graph import build_region_graph
 from .merging import (
     MergeForest, MergeParams, agglomerate, load_forest, save_forest, v_min_from_radius
@@ -205,7 +205,7 @@ def segment(
             with stage("io", 3):
                 model = load_model(model_path) if classifier == "cnn" else None
             classify_fn = hypothesis_classifier(pre, forest, sv, params, model)
-            resolution = resolve(forest, classify_fn)
+            resolution = resolve(forest, classify_fn, map if model is None else concurrent_map)
         labels = finalize(forest, resolution, sv)
     return Run(pre, sv, forest, resolution, labels)
 

@@ -7,12 +7,16 @@ inverted dropout and a 3-class softmax head. All shapes generalize to
 smaller cubic inputs (divisible by 4), which the gradient tests use.
 
 Training is plain mini-batch ADAM on the mean cross-entropy, double
-precision, deterministic for a fixed seed on a single thread.
+precision, deterministic for a fixed seed and bit-identical across BLAS
+thread counts and concurrent batch-1 queries (:func:`concurrent_map`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,34 +222,29 @@ def forward(
 
     ``x`` is (n, s, s, s) or (n, s, s, s, 1). Dropout is applied at the
     fc1 output only when ``train`` is set, with inverted scaling so
-    inference needs no rescale.
+    inference needs no rescale. The cache keeps the pooled maps, not the
+    convolution outputs: those are rectified in place, pooled and freed.
     """
     if x.ndim == 4:
         x = x[..., None]
     x = np.asarray(x, dtype=np.float64)
     p = model.params
 
-    a1 = conv3d_forward(x, p["conv1_w"], p["conv1_b"])
-    r1 = np.maximum(a1, 0.0)
-    m1, idx1 = maxpool3d_forward(r1)
-    a2 = conv3d_forward(m1, p["conv2_w"], p["conv2_b"])
-    r2 = np.maximum(a2, 0.0)
-    m2, idx2 = maxpool3d_forward(r2)
+    relu = lambda a: np.maximum(a, 0.0, out=a)  # in place; the conv output dies after pooling
+    m1, idx1 = maxpool3d_forward(relu(conv3d_forward(x, p["conv1_w"], p["conv1_b"])))
+    m2, idx2 = maxpool3d_forward(relu(conv3d_forward(m1, p["conv2_w"], p["conv2_b"])))
     flat = m2.reshape(x.shape[0], -1)
     f1 = flat @ p["fc1_w"] + p["fc1_b"]
-    rf = np.maximum(f1, 0.0)
+    rf, mask = np.maximum(f1, 0.0), None
     if train and keep_prob < 1.0:
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
         mask = (rng.random(rf.shape) < keep_prob) / keep_prob
-        dropped = rf * mask
-    else:
-        mask = None
-        dropped = rf
+    dropped = rf if mask is None else rf * mask
     logits = dropped @ p["out_w"] + p["out_b"]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits; check model parameters")
-    cache = (x, a1, r1, m1, idx1, a2, r2, m2, idx2, flat, f1, rf, mask, dropped)
+    cache = (x, m1, idx1, m2, idx2, flat, f1, mask, dropped)
     return logits, cache
 
 
@@ -262,8 +261,10 @@ class OuterProduct:
 def backward(model: CnnModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the loss w.r.t. every parameter tensor; ``fc1_w``'s,
     ``flat.T @ df1``, as an :class:`OuterProduct` of its factors, which
-    :func:`adam_step` forms a block of rows at a time, never whole."""
-    x, a1, r1, m1, idx1, a2, r2, m2, idx2, flat, f1, rf, mask, dropped = cache
+    :func:`adam_step` forms a block of rows at a time, never whole. Unpooling
+    routes a gradient to where the ReLU output equals the pooled ``m``, so
+    ``dm * (m > 0)`` before it masks exactly as the ReLU's own mask after."""
+    x, m1, idx1, m2, idx2, flat, f1, mask, dropped = cache
     p = model.params
     grads = {}
 
@@ -277,11 +278,9 @@ def backward(model: CnnModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarra
     dflat = df1 @ p["fc1_w"].T
 
     dm2 = dflat.reshape(m2.shape)
-    dr2 = maxpool3d_backward(dm2, idx2, r2.shape)
-    da2 = dr2 * (a2 > 0)
+    da2 = maxpool3d_backward(dm2 * (m2 > 0), idx2, m1.shape[:4] + m2.shape[4:])
     dm1, grads["conv2_w"], grads["conv2_b"] = conv3d_backward(m1, p["conv2_w"], da2)
-    dr1 = maxpool3d_backward(dm1, idx1, r1.shape)
-    da1 = dr1 * (a1 > 0)
+    da1 = maxpool3d_backward(dm1 * (m1 > 0), idx1, x.shape[:4] + m1.shape[4:])
     _, grads["conv1_w"], grads["conv1_b"] = conv3d_backward(x, p["conv1_w"], da1, input_grad=False)
     return grads
 
@@ -303,6 +302,45 @@ def predict_probs(model: CnnModel, x: np.ndarray) -> np.ndarray:
     """Class probabilities with dropout off."""
     logits, _ = forward(model, x, train=False)
     return softmax(logits)
+
+
+def _openblas():
+    """``(get, set)`` of numpy's OpenBLAS thread count, from the loaded libraries, or None."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    for lib in map(ctypes.CDLL, paths):  # scipy's own OpenBLAS exports neither name
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("set")):
+                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def concurrent_map(fn, items) -> list:
+    """``list(map(fn, items))`` by the calling thread and a helper per other usable CPU,
+    with numpy's OpenBLAS at one thread until all are done. Without a BLAS setter, on
+    one CPU or for one item, the calling thread runs alone and BLAS keeps its threads."""
+    items, blas = list(items), _openblas()
+    todo, out = iter(enumerate(items)), [None] * len(items)
+
+    def work(_=None):
+        for i, item in todo:
+            out[i] = fn(item)
+
+    helpers = min(len(os.sched_getaffinity(0)), len(items)) - 1 if blas else 0
+    get, put = blas if helpers > 0 else (lambda: None, lambda n: None)
+    threads = get()
+    put(1)
+    try:
+        with ThreadPoolExecutor(max(helpers, 1)) as pool:
+            done = pool.map(work, range(helpers))
+            work()
+            list(done)  # a helper's exception is raised here
+    finally:
+        put(threads)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,34 @@ class Resolution:
     probs: dict[int, ClassProbs] = field(default_factory=dict)
 
 
-def resolve(forest: MergeForest, classify_fn: Callable[[int], ClassProbs]) -> Resolution:
+def _splits(p) -> bool:
+    return not isinstance(p, Exception) and p.p_under > max(p.p_correct, p.p_over)
+
+
+def resolve(
+    forest: MergeForest, classify_fn: Callable[[int], ClassProbs], map_fn: Callable = map
+) -> Resolution:
     """Select final segments by descending into under-segmented nodes.
 
     A node is split exactly when the classifier puts strictly more mass
     on *under* than on either other class; ties keep the node intact.
+    Nodes under split parents are independent: ``map_fn(ask, wave)`` asks
+    the sorted roots, then the children of the nodes each wave split, and
+    the depth-first descent is replayed from the answers, so a concurrent
+    ``map_fn`` (:func:`cellforest.cnn.concurrent_map`) changes no query,
+    no result and not which failing node the error names.
     """
+    def ask(node_id: int):
+        try:
+            return classify_fn(node_id)
+        except Exception as exc:
+            return exc
+
+    answers, wave = {}, [root for root in sorted(forest.roots) if forest.nodes[root].children]
+    while wave:
+        answers.update(zip(wave, map_fn(ask, wave)))
+        wave = [c for n in wave if _splits(answers[n]) for c in forest.nodes[n].children
+                if forest.nodes[c].children]
     res = Resolution()
     for root in sorted(forest.roots):
         stack = [root]
@@ -53,12 +75,11 @@ def resolve(forest: MergeForest, classify_fn: Callable[[int], ClassProbs]) -> Re
             if not node.children:
                 res.selected.append(node_id)
                 continue
-            try:
-                probs = classify_fn(node_id)
-            except Exception as exc:
-                raise ClassifierError(f"classifier failed on node {node_id}: {exc}") from exc
+            probs = answers[node_id]
+            if isinstance(probs, Exception):
+                raise ClassifierError(f"classifier failed on node {node_id}: {probs}") from probs
             res.probs[node_id] = probs
-            if probs.p_under > max(probs.p_correct, probs.p_over):
+            if _splits(probs):
                 stack.extend(reversed(node.children))
             else:
                 res.selected.append(node_id)
@@ -106,9 +127,7 @@ def resolution_report(forest: MergeForest, resolution: Resolution) -> str:
             f"{n} {_fmt_probs(resolution.probs.get(n))}" for n in sorted(by_root[root])
         )
         lines.append(f"root {root}: {parts}")
-    n_split = sum(
-        p.p_under > max(p.p_correct, p.p_over) for p in resolution.probs.values()
-    )
+    n_split = sum(map(_splits, resolution.probs.values()))
     lines.append(
         f"{len(resolution.selected)} segments from {len(forest.roots)} roots "
         f"({n_split} nodes split, {len(resolution.probs)} queried)"

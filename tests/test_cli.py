@@ -5,12 +5,15 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cellforest.classify as classify_module
+import cellforest.cnn as cnn_module
 from cellforest import cli
 from cellforest.cli import CliError, load_config, main, segment
 from cellforest.merging import MergeParams, load_forest
@@ -800,6 +803,66 @@ def test_supervoxels_of_another_shape_are_data_error(forest_runs, tmp_path, caps
     assert err.startswith("error [stage data]:")
     assert "supervoxels" in err
     assert not (tmp_path / "out.labels.mvol.json").exists()
+
+
+def tiny_cnn(path):
+    """A model file with the patch size but few channels and units: fast to query."""
+    cnn_module.save_model(cnn_module.init_model(conv_channels=(2, 4), fc_units=8, seed=1), path)
+    return str(path)
+
+
+def test_cnn_failure_in_a_helper_thread_is_resolve_failure(forest_runs, tmp_path, capsys,
+                                                           monkeypatch):
+    # the resolver's queries run on helper threads too; a query that raises
+    # there (here with a numpy broadcast error) must still exit 4 in stage
+    # resolve with one message line, not a thread's traceback
+    run3 = forest_runs[0]
+    forest = load_forest(f"{run3}.forest.txt")
+    assert sum(bool(forest.nodes[r].children) for r in forest.roots) >= 2
+    real, helper_failed = classify_module.cnn_probs, threading.Event()
+
+    def cnn_probs(model, patch):
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            return np.ones(3) + np.ones(2)
+        helper_failed.wait(10)  # leave the other root to the helper
+        return real(model, patch)
+
+    threads = []
+    monkeypatch.setattr(classify_module, "cnn_probs", cnn_probs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cnn_module, "_openblas", lambda: (lambda: 4, threads.append))
+    rc, _, err = run(capsys, "segment", "--preprocessed-in", f"{run3}.pre.mvol.json",
+                     "--supervoxels-in", f"{run3}.sv.mvol.json", "--forest-in",
+                     f"{run3}.forest.txt", "--output-prefix", str(tmp_path / "out"),
+                     "--classifier", "cnn", "--model-path", tiny_cnn(tmp_path / "m.bin"),
+                     *FOREST_FLAGS)
+    assert helper_failed.is_set()
+    assert rc == 4
+    assert err.startswith("error [stage resolve]: classifier failed on node ")
+    assert "could not be broadcast" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert threads == [1, 4]
+    assert not (tmp_path / "out.labels.mvol.json").exists()
+
+
+def test_cnn_segment_restores_blas_threads(forest_runs, tmp_path, capsys):
+    blas = cnn_module._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count setter among the loaded libraries")
+    get, put = blas
+    run3, old = forest_runs[0], get()
+    try:
+        put(2)
+        rc, _, _ = run(capsys, "segment", "--preprocessed-in", f"{run3}.pre.mvol.json",
+                       "--supervoxels-in", f"{run3}.sv.mvol.json", "--forest-in",
+                       f"{run3}.forest.txt", "--output-prefix", str(tmp_path / "out"),
+                       "--classifier", "cnn", "--model-path", tiny_cnn(tmp_path / "m.bin"),
+                       *FOREST_FLAGS)
+        assert rc == 0
+        assert get() == 2
+    finally:
+        put(old)
 
 
 def test_supervoxels_of_another_spacing_are_data_error(forest_runs, tmp_path, capsys):

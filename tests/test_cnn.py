@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cellforest.cnn import (
+    PARAM_ORDER,
     AdamState,
     CnnModel,
     DatasetError,
@@ -390,6 +391,46 @@ def test_backward_returns_fc1_weight_gradient_as_factors():
     assert g.a.shape == (3, model.params["fc1_w"].shape[0]) and g.b.shape == (3, 5)
     np.testing.assert_array_equal(np.asarray(g), g.a.T @ g.b)
     assert np.asarray(g).shape == model.params["fc1_w"].shape
+
+
+# sha256 of the logits and every gradient of one dropout step on a fixed
+# batch, recorded from the implementation that cached the convolution and
+# ReLU outputs and masked each gradient after unpooling (OpenBLAS, x86-64)
+STEP_SHA256 = {
+    16: "b54cc692b0ef5dd4dc781d92bc57ab3d3b04f581b87185e665b9b282a2a270da",
+    8: "8aadfa63475cb91155bc6222b73aee253e2d5da5705e765a30481b4d3d9ee640",
+}
+
+
+@pytest.mark.parametrize("size, seed", [(16, 11), (8, 3)])
+def test_forward_backward_bits_pinned(size, seed):
+    # the cache holds pooled maps only; masking by m > 0 before unpooling
+    # must give the bits of the ReLU mask applied after it
+    model = init_model(input_size=size, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.random((3, size, size, size))
+    logits, cache = forward(model, x, train=True, keep_prob=0.6, rng=rng)
+    _, dlogits = cross_entropy(logits, np.array([0, 1, 2]))
+    grads = backward(model, cache, dlogits)
+    h = hashlib.sha256(logits.tobytes())
+    for name in PARAM_ORDER:
+        h.update(np.ascontiguousarray(np.asarray(grads[name])).tobytes())
+    assert h.hexdigest() == STEP_SHA256[size]
+
+
+def test_predict_peak_memory_per_patch():
+    # one 32^3 forward above its inputs: the conv outputs are rectified in
+    # place and freed after pooling (31.3 MB when forward kept a1, r1, a2, r2)
+    model = init_model(seed=2)
+    x = np.random.default_rng(3).random((1, 32, 32, 32))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        predict_probs(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 16e6, f"forward peak {(peak - before) / 1e6:.1f} MB"
 
 
 def adam_digests(p, grad):

@@ -1,9 +1,17 @@
 """Resolver traversal semantics and the exact-cover guarantee."""
 
+import os
+import sys
+import threading
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import cellforest.cnn as cnn_module
 from cellforest.classify import ClassProbs
+from cellforest.cnn import concurrent_map
 from cellforest.merging import MergeForest
 from cellforest.resolve import (
     ClassifierError,
@@ -193,6 +201,158 @@ def test_never_under_classifier_returns_roots():
         classify, _ = probs_for({}, default=(0.0, 0.5, 0.5))
         res = resolve(forest, classify)
         assert sorted(res.selected) == forest.roots
+
+
+# ---------------------------------------------------------------------------
+# waves on concurrent workers
+
+
+class FakeBlas:
+    """A BLAS thread-count getter and setter that log what they were told."""
+
+    def __init__(self, threads=4):
+        self.threads, self.log = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.threads = n
+        self.log.append(n)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    blas = FakeBlas()
+    monkeypatch.setattr(cnn_module, "_openblas", lambda: (blas.get, blas.set))
+    return blas
+
+
+def recording_classifier(table):
+    """classify_fn backed by a dict; records queried nodes and thread ids."""
+    queried, threads = [], set()
+
+    def classify(node_id):
+        time.sleep(0.0005)  # long enough for the helper to take items
+        queried.append(node_id)
+        threads.add(threading.get_ident())
+        return ClassProbs(*table[node_id])
+
+    return classify, queried, threads
+
+
+def test_concurrent_waves_match_in_thread_waves(two_cpus):
+    rng = np.random.default_rng(80)
+    seen_threads = set()
+    for _ in range(200):
+        forest = random_forest(rng, int(rng.integers(1, 30)))
+        table = {n: rng.dirichlet((1.2, 1.2, 1.2)) for n in forest.nodes}
+        classify, queried, _ = recording_classifier(table)
+        alone = resolve(forest, classify)
+        classify, queried_2, threads = recording_classifier(table)
+        both = resolve(forest, classify, concurrent_map)
+        assert both.selected == alone.selected
+        assert list(both.probs) == list(alone.probs)
+        assert all(both.probs[n] == alone.probs[n] for n in alone.probs)
+        assert sorted(queried_2) == sorted(queried) == sorted(alone.probs)
+        seen_threads |= threads
+    assert len(seen_threads) > 1  # helpers took items
+    assert two_cpus.threads == 4 and set(two_cpus.log) == {1, 4}
+
+
+def test_concurrent_map_takes_each_item_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval: a lost update to
+    # the shared iterator or the result list would show as a wrong result
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    blas = FakeBlas()
+    monkeypatch.setattr(cnn_module, "_openblas", lambda: (blas.get, blas.set))
+    calls = Counter()
+
+    def square(item):
+        calls[item] += 1
+        return item * item
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        for _ in range(20):
+            assert concurrent_map(square, range(500)) == [i * i for i in range(500)]
+        assert time.perf_counter() - t0 < 60
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == Counter({i: 20 for i in range(500)})
+    assert blas.threads == 4 and blas.log == [1, 4] * 20
+
+
+def failing_forest():
+    """Root 7 = (6 = (1, 2), 3) and root 8 = (4, 5)."""
+    forest = MergeForest(5)
+    for leaf in (1, 2, 3, 4, 5):
+        forest.add_leaf(leaf, 5, 5.0)
+    forest.add_merge(6, 1, 2, 10, 10.0, 0.1)
+    forest.add_merge(7, 6, 3, 15, 15.0, 0.2)
+    forest.add_merge(8, 4, 5, 10, 10.0, 0.3)
+    forest.roots = [7, 8]
+    return forest
+
+
+@pytest.mark.parametrize("map_fn", [map, concurrent_map])
+@pytest.mark.parametrize("failing, named", [({7, 8}, 7), ({6, 8}, 6), ({8}, 8)])
+def test_failure_names_the_node_the_descent_reaches_first(two_cpus, map_fn, failing, named):
+    # node 6 is asked a wave after node 8, but the descent reaches it first
+    def classify(node_id):
+        time.sleep(0.001)
+        if node_id in failing:
+            raise RuntimeError(f"boom {node_id}")
+        return ClassProbs(0.8, 0.1, 0.1)
+
+    with pytest.raises(ClassifierError, match=f"node {named}: boom {named}"):
+        resolve(failing_forest(), classify, map_fn)
+    assert two_cpus.threads == 4
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_blas_thread_count_restored_after_resolve(monkeypatch, fails):
+    blas = cnn_module._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count setter among the loaded libraries")
+    get, put = blas
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    inside = []
+
+    def classify(node_id):
+        inside.append(get())
+        if fails:
+            raise RuntimeError("boom")
+        return ClassProbs(0.8, 0.1, 0.1)
+
+    old = get()
+    try:
+        put(2)
+        if fails:
+            with pytest.raises(ClassifierError):
+                resolve(failing_forest(), classify, concurrent_map)
+        else:
+            resolve(failing_forest(), classify, concurrent_map)
+        assert get() == 2
+    finally:
+        put(old)
+    # the two roots' wave runs at one BLAS thread; node 6 alone keeps two
+    assert inside == [1, 1] if fails else sorted(inside) == [1, 1, 2]
+
+
+def test_one_worker_without_a_blas_setter(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cnn_module, "_openblas", lambda: None)
+    classify, queried, threads = recording_classifier(
+        {n: (0.8, 0.1, 0.1) for n in range(1, 9)}
+    )
+    res = resolve(failing_forest(), classify, concurrent_map)
+    assert res.selected == [1, 2, 3, 4, 5]
+    assert threads == {threading.get_ident()}
+    assert queried == [7, 8, 6]
 
 
 # ---------------------------------------------------------------------------
