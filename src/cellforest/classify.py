@@ -32,9 +32,9 @@ from typing import Callable
 import numpy as np
 from scipy import ndimage as ndi
 
-from .cnn import CnnModel, predict_probs
+from .cnn import CnnModel, predict_probs, softmax
 from .merging import MergeForest, MergeParams
-from .volume import LabelVolume, ScalarVolume
+from .volume import LabelVolume, ScalarVolume, normalize
 
 PATCH_SIZE = 32
 CLASS_NAMES = ("under", "correct", "over")
@@ -148,24 +148,15 @@ def heuristic_probs(
     training run, which keeps the resolver testable independently of the
     network.
     """
-    p = np.asarray(patch_data, dtype=np.float64)
-    lo = p.min()
-    hi = p.max()
-    q = (p - lo) / (hi - lo) if hi > lo else np.zeros_like(p)
+    q = normalize(ScalarVolume(patch_data)).data
     c0 = (q.shape[0] - 10) // 2
     core = q[c0 : c0 + 10, c0 : c0 + 10, c0 : c0 + 10]
     bright = float(np.mean(core > 0.5))
     r_small = min(1.0, max(0.0, volume_um3 / v_min))
     r_big = min(1.0, max(0.0, volume_um3 / v_max))
 
-    z = np.array([
-        25.0 * (bright - 0.05) + r_big,
-        0.8,
-        4.0 * (1.0 - r_small) - 1.0,
-    ])
-    e = np.exp(z - z.max())
-    probs = e / e.sum()
-    return ClassProbs(float(probs[0]), float(probs[1]), float(probs[2]))
+    z = np.array([25.0 * (bright - 0.05) + r_big, 0.8, 4.0 * (1.0 - r_small) - 1.0])
+    return ClassProbs(*softmax(z).tolist())
 
 
 def cnn_probs(model: CnnModel, patch_data: np.ndarray) -> ClassProbs:

@@ -169,8 +169,8 @@ def segment(
     -> agglomerate -> tree cut by ``classifier`` (the CNN read from ``model_path``)
     -> final labels. A given ``pre``, ``sv`` or ``forest`` replaces the stages that
     make it (``volume`` is then unused). A given ``pre`` must lie in [0, 1], given
-    supervoxels must have its shape and spacing, and a given forest must have the
-    supervoxels' leaf voxel counts. Failures raise :class:`CliError` naming the stage."""
+    supervoxels must have its shape and spacing, and a given forest must match their
+    leaf voxel counts and voxel volume. Failures raise :class:`CliError` naming the stage."""
     if classifier not in CLASSIFIERS:
         raise CliError("config", 2, f"unknown classifier {classifier!r}")
     if classifier == "cnn" and not model_path:
@@ -198,6 +198,8 @@ def segment(
             leaf_counts = [forest.nodes[i].voxel_count for i in range(1, forest.n_leaves + 1)]
             if not np.array_equal(counts, leaf_counts):
                 raise ValueError("forest leaf voxel counts disagree with the supervoxels")
+            if any(n.volume != n.voxel_count * sv.voxel_volume for n in forest.nodes.values()):
+                raise ValueError(f"forest node volumes are not voxel counts x {sv.voxel_volume} um3")
     with stage("resolve"):
         if classifier == "none":
             resolution = resolve_trivial(forest)

@@ -110,6 +110,16 @@ class RegionGraph:
         return fused
 
 
+def face_pairs(labels: np.ndarray):
+    """The one scan of 6-adjacent voxel pairs. Per axis 0, 1, 2, yields the
+    slices ``(lower, upper)`` of each pair's two voxels and the mask of the
+    pairs whose labels differ."""
+    for axis in range(3):
+        lower = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
+        upper = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
+        yield lower, upper, labels[lower] != labels[upper]
+
+
 def build_region_graph(lv: LabelVolume, v: ScalarVolume) -> RegionGraph:
     """Single-pass construction from a label volume and its intensities.
 
@@ -135,42 +145,20 @@ def build_region_graph(lv: LabelVolume, v: ScalarVolume) -> RegionGraph:
 
     graph = RegionGraph(v.voxel_volume)
     sums = np.bincount(flat, weights=values.ravel(), minlength=k + 1)
-    for i in range(1, k + 1):
-        graph.add_node(
-            i, RegionStats(int(counts[i]), int(counts[i]) * graph.voxel_volume, float(sums[i]))
-        )
+    for i, (c, s) in enumerate(zip(counts[1:].tolist(), sums[1:].tolist()), 1):
+        graph.add_node(i, RegionStats(c, c * graph.voxel_volume, s))
 
-    lo_parts, hi_parts, val_parts = [], [], []
-    for axis in (0, 1, 2):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
-        la = labels[tuple(sl_a)].ravel()
-        lb = labels[tuple(sl_b)].ravel()
-        diff = la != lb
-        if not diff.any():
-            continue
-        la = la[diff]
-        lb = lb[diff]
-        pair_val = 0.5 * (
-            values[tuple(sl_a)].ravel()[diff] + values[tuple(sl_b)].ravel()[diff]
-        )
-        lo_parts.append(np.minimum(la, lb))
-        hi_parts.append(np.maximum(la, lb))
-        val_parts.append(pair_val)
-
-    if lo_parts:
-        lo = np.concatenate(lo_parts).astype(np.int64)
-        hi = np.concatenate(hi_parts).astype(np.int64)
-        vals = np.concatenate(val_parts)
-        keys = lo * (k + 1) + hi
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        pair_counts = np.bincount(inverse)
-        pair_sums = np.bincount(inverse, weights=vals)
-        for key, c, s in zip(uniq.tolist(), pair_counts.tolist(), pair_sums.tolist()):
-            i, j = divmod(key, k + 1)
-            graph.edges[(i, j)] = BoundaryStats(int(c), float(s))
-            graph.adj[i].add(j)
-            graph.adj[j].add(i)
+    keys, vals = [], []
+    for lower, upper, differ in face_pairs(labels):
+        la, lb = labels[lower][differ].astype(np.int64), labels[upper][differ].astype(np.int64)
+        keys.append(np.minimum(la, lb) * (k + 1) + np.maximum(la, lb))
+        vals.append(0.5 * (values[lower][differ] + values[upper][differ]))
+    uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    pair_counts = np.bincount(inverse)
+    pair_sums = np.bincount(inverse, weights=np.concatenate(vals))
+    for key, c, s in zip(uniq.tolist(), pair_counts.tolist(), pair_sums.tolist()):
+        i, j = divmod(key, k + 1)
+        graph.edges[(i, j)] = BoundaryStats(int(c), float(s))
+        graph.adj[i].add(j)
+        graph.adj[j].add(i)
     return graph

@@ -24,6 +24,7 @@ from scipy import ndimage as ndi
 
 from .classify import CLASS_NAMES, Patch, crop_patch
 from .cnn import DatasetError
+from .graph import face_pairs
 from .preprocess import ball_offsets, gaussian_smooth
 from .volume import LabelVolume, ScalarVolume, _check_spacing, read_volume, write_volume
 
@@ -126,20 +127,11 @@ def membrane_mask(labels: np.ndarray, width: int = 1) -> np.ndarray:
     """Voxels whose 6-neighborhood crosses a label change, walls widened
     by dilation for ``width`` > 1. The volume border counts as a change
     (the specimen surface is stained too)."""
-    mask = np.zeros(labels.shape, dtype=bool)
-    for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        neq = labels[tuple(lo)] != labels[tuple(hi)]
-        mask[tuple(lo)] |= neq
-        mask[tuple(hi)] |= neq
-        edge = [slice(None)] * 3
-        edge[axis] = 0
-        mask[tuple(edge)] = True
-        edge[axis] = labels.shape[axis] - 1
-        mask[tuple(edge)] = True
+    mask = np.ones(labels.shape, dtype=bool)
+    mask[1:-1, 1:-1, 1:-1] = False
+    for lower, upper, differ in face_pairs(labels):
+        mask[lower] |= differ
+        mask[upper] |= differ
     if width > 1:
         mask = ndi.binary_dilation(mask, structure=ball_offsets(width - 1))
     return mask
@@ -173,10 +165,8 @@ def _touching_pairs(labels: np.ndarray) -> list[tuple[int, int]]:
     """Sorted unique (lower, higher) label pairs that share a voxel face."""
     base = int(labels.max(initial=0)) + 1
     keys = []
-    for axis in range(3):
-        a = np.moveaxis(labels, axis, 0)
-        neq = a[:-1] != a[1:]
-        lo, hi = a[:-1][neq].astype(np.int64), a[1:][neq]
+    for lower, upper, differ in face_pairs(labels):
+        lo, hi = labels[lower][differ].astype(np.int64), labels[upper][differ]
         keys.append(np.minimum(lo, hi) * base + np.maximum(lo, hi))
     keys = np.unique(np.concatenate(keys))
     return list(zip((keys // base).tolist(), (keys % base).tolist()))
@@ -300,6 +290,8 @@ def load_patch_dataset(dirpath: str) -> tuple[np.ndarray, np.ndarray]:
             if cls not in CLASS_NAMES:
                 raise DatasetError(f"unknown class name {cls!r} in index")
             vol = read_volume(os.path.join(dirpath, name))
+            if not isinstance(vol, ScalarVolume):
+                raise DatasetError(f"{name}: a u32 label volume is not an intensity patch")
             try:
                 x.append(Patch(vol.data).data)
             except ValueError as exc:

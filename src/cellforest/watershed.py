@@ -46,16 +46,14 @@ from .volume import LabelVolume, ScalarVolume
 class MinimaSet:
     """Plateau-connected minimum regions of a volume.
 
-    ``seed_labels`` holds component ids 1..n at minimum voxels, 0 elsewhere;
-    ``plateau_values`` maps component id - 1 to the plateau intensity.
+    ``seed_labels`` holds component ids 1..n at minimum voxels, 0 elsewhere.
     Components are ordered by first occurrence in x-fastest scan order.
     """
 
     seed_labels: np.ndarray
-    plateau_values: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.plateau_values)
+        return int(self.seed_labels.max(initial=0))
 
 
 def find_local_minima(v: ScalarVolume) -> MinimaSet:
@@ -81,10 +79,7 @@ def find_local_minima(v: ScalarVolume) -> MinimaSet:
     comp_labels, n_comp = ndi.label(~has_lower, structure=np.ones((3, 3, 3)))
     keep = np.arange(n_comp + 1) > 0
     keep[comp_labels[~has_lower & touches_descent]] = False
-    seed_labels = (np.cumsum(keep, dtype=np.int32) * keep)[comp_labels]
-    values = np.zeros(keep.sum() + 1)
-    values[seed_labels.ravel()[::-1]] = a.ravel()[::-1]  # a component's first voxel last
-    return MinimaSet(seed_labels, values[1:])
+    return MinimaSet((np.cumsum(keep, dtype=np.int32) * keep)[comp_labels])
 
 
 class _Unknown(Exception):

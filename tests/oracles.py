@@ -87,7 +87,7 @@ def closing_ndi_reference(data, r_cl_max):
 
 
 def minima_ndi_reference(data):
-    """(seed labels, plateau values) of the 26-connected plateau minima, as
+    """Seed labels of the 26-connected plateau minima, as
     the package computed them before its box filter: a footprint erosion
     over the 3x3x3 cube and one shifted comparison per 26-neighbour."""
     a = np.asarray(data, dtype=np.float64)
@@ -104,9 +104,7 @@ def minima_ndi_reference(data):
     keep = np.setdiff1d(np.arange(1, n + 1), bad)
     remap = np.zeros(n + 1, dtype=np.int32)
     remap[keep] = np.arange(1, len(keep) + 1, dtype=np.int32)
-    labels = remap[comp]
-    values = [a.ravel()[np.flatnonzero(labels.ravel() == k)[0]] for k in range(1, len(keep) + 1)]
-    return labels, np.array(values, dtype=np.float64)
+    return remap[comp]
 
 
 def minima_reference(data):
@@ -379,6 +377,28 @@ def touching_pairs_reference(labels):
         for x, y in zip(a[neq], b[neq]):
             pairs.add((min(int(x), int(y)), max(int(x), int(y))))
     return sorted(pairs)
+
+
+def membrane_mask_reference(labels, width=1):
+    """Wall voxels by a per-voxel loop: a voxel on the volume border or with
+    a 6-neighbour of another label is wall; ``width`` w adds every voxel
+    within Euclidean distance w - 1 of a wall voxel."""
+    shape = labels.shape
+    wall = np.zeros(shape, dtype=bool)
+    for p in itertools.product(*map(range, shape)):
+        for axis, step in itertools.product(range(3), (-1, 1)):
+            q = list(p)
+            q[axis] += step
+            if not 0 <= q[axis] < shape[axis] or labels[tuple(q)] != labels[p]:
+                wall[p] = True
+    r = width - 1
+    out = wall.copy()
+    for p in zip(*np.nonzero(wall)):
+        for d in itertools.product(range(-r, r + 1), repeat=3):
+            q = tuple(int(a + b) for a, b in zip(p, d))
+            if sum(c * c for c in d) <= r * r and all(0 <= c < n for c, n in zip(q, shape)):
+                out[q] = True
+    return out
 
 
 def conv3d_reference(x, w, b):

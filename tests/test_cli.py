@@ -766,6 +766,20 @@ def test_forest_from_another_run_is_data_error(forest_runs, tmp_path, capsys):
     assert not (tmp_path / "other.labels.mvol.json").exists()
 
 
+def test_forest_of_another_spacing_is_data_error(forest_runs, tmp_path, capsys):
+    # the stage volumes rewritten at 2 um spacing keep the forest's voxel
+    # counts, so only the node volumes, 8x off, tell the forest apart
+    run3 = forest_runs[0]
+    pre, sv = read_volume(f"{run3}.pre.mvol.json"), read_volume(f"{run3}.sv.mvol.json")
+    write_volume(ScalarVolume(pre.data, (2.0,) * 3), str(tmp_path / "run.pre.mvol.json"))
+    write_volume(LabelVolume(sv.labels, (2.0,) * 3), str(tmp_path / "run.sv.mvol.json"))
+    rc, _, err = resume(capsys, tmp_path / "run", f"{run3}.forest.txt", tmp_path / "out")
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+    assert "node volumes" in err
+    assert not (tmp_path / "out.labels.mvol.json").exists()
+
+
 def test_config_accepts_every_segment_option(forest_runs, tmp_path, capsys):
     run3 = forest_runs[0]
     cfg = tmp_path / "all.cfg"
@@ -1115,3 +1129,19 @@ def test_train_non_finite_patch_is_data_error(patch_dir, tmp_path, capsys):
     assert rc == 4
     assert err.startswith("error [stage data]:")
     assert name in err and "finite" in err
+
+
+def test_train_label_volume_patch_is_data_error(patch_dir, tmp_path, capsys):
+    # a u32 payload reads as a LabelVolume, which has labels, not data
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(patch_dir, broken)
+    name = (broken / "index.txt").read_text().split("\n")[0].split(",")[0]
+    write_volume(LabelVolume(np.ones((32, 32, 32), dtype=np.uint32)), broken / name)
+    rc, _, err = run(
+        capsys, "train", "--dataset", str(broken), "--model-out", str(tmp_path / "m")
+    )
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+    assert name in err and "label volume" in err

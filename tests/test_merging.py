@@ -302,7 +302,7 @@ def test_merge_scores_recorded_below_one_and_volumes_capped():
     seeds.ravel()[flat] = np.arange(1, 13)
     from cellforest.watershed import MinimaSet, seeded_watershed
 
-    minima = MinimaSet(seeds, values.ravel()[flat])
+    minima = MinimaSet(seeds)
     sv = seeded_watershed(ScalarVolume(values, (1.0, 1.0, 1.0)), minima)
     graph = build_region_graph(sv, ScalarVolume(values, (1.0, 1.0, 1.0)))
     p = params(v_min=80.0, v_max=120.0)
@@ -340,7 +340,7 @@ def test_observer_sees_consistent_incremental_stats():
     seeds.ravel()[flat] = np.arange(1, 21)
     from cellforest.watershed import MinimaSet, seeded_watershed
 
-    minima = MinimaSet(seeds, values.ravel()[flat])
+    minima = MinimaSet(seeds)
     sv = seeded_watershed(ScalarVolume(values, (1.0, 1.0, 1.0)), minima)
     graph = build_region_graph(sv, ScalarVolume(values, (1.0, 1.0, 1.0)))
 

@@ -23,6 +23,7 @@ from cellforest.phantom import (
 from cellforest.preprocess import gaussian_smooth
 
 from oracles import (
+    membrane_mask_reference,
     place_sites_reference,
     touching_pairs_reference,
     voronoi_reference,
@@ -229,6 +230,29 @@ def test_membrane_width_dilates_spherically():
     assert not w1[4, 4, 2]
     assert w2[4, 4, 3] and not w2[4, 4, 2]  # one step of spherical growth
     assert np.all(w2 | ~w1)  # superset of the thin wall
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(*[st.integers(1, 8)] * 3),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@example((6, 5, 7), 1, 1, 1, 0)
+@example((1, 5, 6), 3, 1, 2, 0)
+@example((2, 2, 7), 2, 2, 3, 1)
+@example((7, 1, 2), 4, 1, 1, 2)
+def test_membrane_mask_matches_looped_reference(shape, k, block, width, seed):
+    # labels constant on block^3 cubes leave interior voxels off the walls;
+    # axes of length 1 or 2 are border voxels only
+    coarse = np.random.default_rng(seed).integers(1, k + 1, [-(-n // block) for n in shape])
+    labels = coarse.repeat(block, 0).repeat(block, 1).repeat(block, 2)
+    labels = labels[: shape[0], : shape[1], : shape[2]].astype(np.uint32)
+    np.testing.assert_array_equal(
+        membrane_mask(labels, width), membrane_mask_reference(labels, width)
+    )
 
 
 def test_touching_pairs_on_split_volume():

@@ -5,7 +5,9 @@ outputs across kernel rewrites. These tests run both through the CLI on
 small fixed inputs and compare sha256 digests recorded from an earlier,
 independently written implementation (whole-matrix im2col convolution,
 transpose/argmax pooling, whole-volume patch extraction), so any drift
-in a later kernel change shows up here instead of silently.
+in a later kernel change shows up here instead of silently. The
+fixture's phantom image and truth payloads are pinned too, so a change
+to the renderer fails there rather than in every digest downstream.
 
 The digests hold for float64 numpy on x86-64 with OpenBLAS; another BLAS
 may round differently.
@@ -30,6 +32,8 @@ RECUT_PROBS_SHA256 = "1a7181244987c56f50660521fad5698ca7f9c8e3a456539f2874fc4008
 RECUT_HEURISTIC_PROBS_SHA256 = "78867cde2593f798ffc1c2b5b53067f6ce2e268d8dfa1c97256b049528f9eff9"
 TRAIN_MODEL_SHA256 = "742482eebc6229f39b83b92876d988dd780dc8012dab41ac0a3e92fe98dd0a4d"
 TRAIN_LOSS_SHA256 = "d04dc65dfae9681a062d500ec15b627b23b45e74c8cd6631cc26a663f7c9be31"
+SYNTH_IMAGE_SHA256 = "9ea4209e0304b339b6f7249ed03047f89d5d3c3215ed2a7354d69ad1ba730b87"
+SYNTH_TRUTH_SHA256 = "201b2216c14530d34b9b05793dc39670c26264715c8cc11df1ee52c37b2d00ff"
 
 
 def sha256(data: bytes) -> str:
@@ -44,6 +48,8 @@ def artifacts(tmp_path_factory):
                  "--n-cells", "24", "--membrane-width", "2", "--noise-sigma", "0.05",
                  "--blur-sigma", "0.6", "--seed", "3", "--patches-dir", str(root / "ds"),
                  "--patches-per-class", "1"]) == 0
+    assert sha256((root / "ph.image.raw").read_bytes()) == SYNTH_IMAGE_SHA256
+    assert sha256((root / "ph.truth.raw").read_bytes()) == SYNTH_TRUTH_SHA256
     assert main(["segment", str(root / "ph.image.mvol.json"), "--output-prefix",
                  str(root / "art"), "--dump-stages", *SEG_FLAGS]) == 0
     save_model(init_model(seed=5), str(root / "model.bin"))

@@ -1,15 +1,18 @@
-"""The README's library example runs as printed and agrees with the CLI."""
+"""The README's library example runs as printed and agrees with the CLI;
+its module map and the package's exports match the source tree."""
 
 import re
 from pathlib import Path
 
 import numpy as np
 
+import cellforest
 from cellforest.cli import main
 from cellforest.phantom import PhantomParams, generate_phantom
 from cellforest.volume import ScalarVolume, write_volume
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(cellforest.__file__).resolve().parent
 
 
 def library_example() -> str:
@@ -33,3 +36,17 @@ def test_readme_library_example_matches_cli(tmp_path, monkeypatch):
     readme_raw = (tmp_path / "readme.labels.raw").read_bytes()
     assert readme_raw == (tmp_path / "cli.labels.raw").read_bytes()
     assert len(np.unique(scope["labels"].labels)) > 2
+
+
+def test_every_exported_name_resolves():
+    # segment loads lazily through the package's __getattr__
+    missing = [name for name in cellforest.__all__ if not hasattr(cellforest, name)]
+    assert missing == []
+
+
+def test_module_map_lists_exactly_the_package_modules():
+    block = README.read_text().split("```\nsrc/cellforest/\n", 1)[1].split("```", 1)[0]
+    listed = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    modules = {p.name for p in PACKAGE.glob("*.py")} - {"__init__.py"}
+    assert set(listed) == modules

@@ -41,7 +41,6 @@ def test_constant_volume_one_component_spanning_all():
     m = find_local_minima(as_volume(np.full((3, 4, 2), 0.5)))
     assert len(m) == 1
     assert np.all(m.seed_labels == 1)
-    assert m.plateau_values[0] == 0.5
 
 
 def test_profile_31323_two_minima():
@@ -49,7 +48,6 @@ def test_profile_31323_two_minima():
     m = find_local_minima(as_volume(data))
     assert len(m) == 2
     np.testing.assert_array_equal(m.seed_labels[0, 0], [0, 1, 0, 2, 0])
-    np.testing.assert_array_equal(m.plateau_values, [1.0, 2.0])
 
 
 def test_plateau_touching_descent_rejected():
@@ -66,12 +64,11 @@ def test_minima_match_reference_on_random_u8(seed):
     np.testing.assert_array_equal(minima_labels(as_volume(data)), minima_reference(data))
 
 
-def test_minima_seed_labels_and_plateau_values():
+def test_minima_seed_labels_in_zyx_index_order():
     data = np.array([3, 1, 3, 2, 3], dtype=float).reshape(1, 1, 5)
     m = find_local_minima(as_volume(data))
     assert len(m) == 2
     np.testing.assert_array_equal(np.argwhere(m.seed_labels == 1), [[0, 0, 1]])  # (z, y, x)
-    assert m.plateau_values[0] == 1.0
 
 
 def test_watershed_single_seed_floods_everything():
@@ -111,7 +108,7 @@ def test_watershed_requires_seeds():
     with pytest.raises(ValueError):
         seeded_watershed(
             as_volume(np.zeros((2, 2, 2))),
-            MinimaSet(np.zeros((2, 2, 2), dtype=np.int32), np.empty(0)),
+            MinimaSet(np.zeros((2, 2, 2), dtype=np.int32)),
         )
 
 
@@ -161,9 +158,9 @@ def test_minima_match_ndi_reference_property(shape, seed, levels):
     if levels:
         data = np.round(data * levels) / levels
     m = find_local_minima(as_volume(data))
-    labels, values = minima_ndi_reference(data)
+    labels = minima_ndi_reference(data)
     np.testing.assert_array_equal(m.seed_labels, labels)
-    assert m.plateau_values.tobytes() == values.tobytes()
+    assert len(m) == labels.max(initial=0)
 
 
 def test_minima_reject_non_finite():
