@@ -32,11 +32,11 @@ from typing import Callable
 import numpy as np
 from scipy import ndimage as ndi
 
-from .cnn import CnnModel, predict_probs, softmax
+from .cnn import PATCH_SIZE, CnnModel, predict_probs, softmax
 from .merging import MergeForest, MergeParams
 from .volume import LabelVolume, ScalarVolume, normalize
 
-PATCH_SIZE = 32
+MARGIN = 2  # voxels of context added around a node's box on every side
 CLASS_NAMES = ("under", "correct", "over")
 
 
@@ -74,43 +74,42 @@ class Patch:
             raise ValueError("patch values must be finite and lie in [0, 1]")
 
 
-def crop_patch(
-    data: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int = PATCH_SIZE, margin: int = 2,
-    keep: Callable[[tuple], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Render the box [lo, hi] (inclusive, (z, y, x) order) as a size^3 patch.
+def crop_patch(data: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               keep: Callable[[tuple], np.ndarray] | None = None) -> np.ndarray:
+    """Render the box [lo, hi] (inclusive, (z, y, x) order) as a PATCH_SIZE^3 patch.
 
-    The box is first expanded by ``margin`` on every side. If the result
+    The box is first expanded by ``MARGIN`` on every side. If the result
     fits, it is centered and out-of-volume voxels replicate the nearest
-    edge; otherwise it is resampled to size^3 with trilinear
+    edge; otherwise it is resampled to PATCH_SIZE^3 with trilinear
     interpolation at pixel-center-aligned coordinates. ``keep`` maps the
     window of ``data`` the rendering reads (a tuple of slices) to a mask
     of it; rejected voxels read as zeros.
     """
-    lo_e = np.asarray(lo, dtype=np.int64) - margin
-    hi_e = np.asarray(hi, dtype=np.int64) + margin
+    lo_e = np.asarray(lo, dtype=np.int64) - MARGIN
+    hi_e = np.asarray(hi, dtype=np.int64) + MARGIN
     span = hi_e - lo_e + 1
     shape = np.array(data.shape)
-    fits = np.all(span <= size)
+    fits = np.all(span <= PATCH_SIZE)
     if fits:
-        starts = lo_e - (size - span) // 2
-        w0, w1 = np.clip(starts, 0, shape - 1), np.clip(starts + size - 1, 0, shape - 1)
+        starts = lo_e - (PATCH_SIZE - span) // 2
+        w0, w1 = np.clip(starts, 0, shape - 1), np.clip(starts + PATCH_SIZE - 1, 0, shape - 1)
     else:  # the trilinear taps stay within one voxel of the expanded box
         w0, w1 = np.maximum(lo_e - 1, 0), np.minimum(hi_e + 1, shape - 1)
     window = tuple(slice(a, b + 1) for a, b in zip(w0, w1))
     local = data[window] if keep is None else np.where(keep(window), data[window], 0.0)
     if fits:
-        idx = [np.clip(starts[a] + np.arange(size), 0, shape[a] - 1) - w0[a] for a in range(3)]
+        idx = [np.clip(starts[a] + np.arange(PATCH_SIZE), 0, shape[a] - 1) - w0[a]
+               for a in range(3)]
         return local[np.ix_(*idx)]
     coords = [
-        lo_e[a] + (np.arange(size) + 0.5) * span[a] / size - 0.5 for a in range(3)
+        lo_e[a] + (np.arange(PATCH_SIZE) + 0.5) * span[a] / PATCH_SIZE - 0.5 for a in range(3)
     ]
     zz, yy, xx = np.meshgrid(*coords, indexing="ij")
     flat = ndi.map_coordinates(
         local, np.stack([zz.ravel(), yy.ravel(), xx.ravel()]) - w0[:, None], order=1,
         mode="nearest",
     )
-    return flat.reshape(size, size, size)
+    return flat.reshape(PATCH_SIZE, PATCH_SIZE, PATCH_SIZE)
 
 
 def extract_patch(

@@ -14,8 +14,9 @@ resolution -> final labels. The driver calls each stage through this
 module's names, which ``perfbench/tracing.py`` wraps to time them. Only
 the volume bounds (v_min / v_max, or r_min to derive v_min) are
 mandatory; everything else takes the library's defaults
-(:class:`PreprocessParams`, :class:`PhantomParams`, :class:`TrainConfig`),
-so no option declares a default of its own. A ``key = value`` config file
+(:class:`PreprocessParams`, :class:`PhantomParams`, :class:`TrainConfig`,
+whose fields are the ``synth`` and ``train`` flags), so no option declares
+a default of its own. A ``key = value`` config file
 (``--config``) holds ``segment`` options: each line is turned into a
 ``segment`` argument (``input`` into the positional) and parsed ahead of
 the command line, so an explicit flag wins and a bad value fails alike
@@ -34,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classify import hypothesis_classifier
+from .classify import PATCH_SIZE, hypothesis_classifier
 from .cnn import DatasetError, TrainConfig, concurrent_map, load_model, save_model, train
 from .graph import build_region_graph
 from .merging import (
@@ -124,6 +125,15 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
     return argv
 
 
+def _add_fields(parser: argparse.ArgumentParser, params: type) -> None:
+    """One ``--field-name`` flag per field of the dataclass ``params``, typed by the
+    field's default; a tuple field is text, one value or x,y,z, which the command parses."""
+    for f in fields(params):
+        text = isinstance(f.default, tuple)
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=str if text else type(f.default),
+                            help="one value or x,y,z" if text else None)
+
+
 def _given(args: argparse.Namespace, params: type) -> dict:
     """The fields of the dataclass ``params`` that the command line set."""
     names = {f.name for f in fields(params)}
@@ -166,11 +176,12 @@ def segment(
     sv: LabelVolume | None = None, forest: MergeForest | None = None,
 ) -> Run:
     """The pipeline: normalize -> smooth -> close -> minima -> flood -> region graph
-    -> agglomerate -> tree cut by ``classifier`` (the CNN read from ``model_path``)
-    -> final labels. A given ``pre``, ``sv`` or ``forest`` replaces the stages that
-    make it (``volume`` is then unused). A given ``pre`` must lie in [0, 1], given
-    supervoxels must have its shape and spacing, and a given forest must match their
-    leaf voxel counts and voxel volume. Failures raise :class:`CliError` naming the stage."""
+    -> agglomerate -> tree cut by ``classifier`` (the CNN read from ``model_path``, which
+    must take PATCH_SIZE^3 patches) -> final labels. A given ``pre``, ``sv`` or ``forest``
+    replaces the stages that make it (``volume`` is then unused). A given ``pre`` must lie
+    in [0, 1], given supervoxels must have its shape and spacing, and a given forest must
+    match their leaf voxel counts and voxel volume. Failures raise :class:`CliError`
+    naming the stage."""
     if classifier not in CLASSIFIERS:
         raise CliError("config", 2, f"unknown classifier {classifier!r}")
     if classifier == "cnn" and not model_path:
@@ -206,6 +217,9 @@ def segment(
         else:
             with stage("io", 3):
                 model = load_model(model_path) if classifier == "cnn" else None
+            if model is not None and model.input_size != PATCH_SIZE:
+                raise CliError("data", 4, f"{model_path}: the model takes {model.input_size}^3 "
+                                          f"patches, not {PATCH_SIZE}^3")
             classify_fn = hypothesis_classifier(pre, forest, sv, params, model)
             resolution = resolve(forest, classify_fn, map if model is None else concurrent_map)
         labels = finalize(forest, resolution, sv)
@@ -264,8 +278,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if args.spacing is not None:
             given["spacing"] = _triple(args.spacing)
         params = PhantomParams(**given)
-        per_class = () if args.patches_per_class is None else (args.patches_per_class,) * 3
-        if min(per_class, default=1) < 1:
+        counts = {} if args.patches_per_class is None else {"per_class": args.patches_per_class}
+        if counts.get("per_class", 1) < 1:
             raise ValueError(f"--patches-per-class must be >= 1, got {args.patches_per_class}")
     with stage("synth"):
         v, gt = generate_phantom(params)
@@ -274,7 +288,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         write_volume(gt, f"{args.output_prefix}.truth.mvol.json")
     if args.patches_dir:
         with stage("synth"):
-            patches, classes = generate_patch_dataset(params, v, gt, *per_class)
+            patches, classes = generate_patch_dataset(params, v, gt, **counts)
         with stage("io", 3):
             save_patch_dataset(args.patches_dir, patches, classes)
         print(f"wrote {len(patches)} patches to {args.patches_dir}")
@@ -347,16 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic phantom", exit_on_error=False)
     p.add_argument("--output-prefix", required=True)
-    p.add_argument("--dims", help="volume size, one value or x,y,z")
-    p.add_argument("--spacing", help="voxel spacing in um, one value or x,y,z")
-    p.add_argument("--n-cells", type=int)
-    p.add_argument("--membrane-width", type=int)
-    p.add_argument("--membrane-intensity", type=float)
-    p.add_argument("--interior-intensity", type=float)
-    p.add_argument("--attenuation", type=float)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--blur-sigma", type=float)
-    p.add_argument("--seed", type=int)
+    _add_fields(p, PhantomParams)
     p.add_argument("--patches-dir", help="also cut a labeled training-patch dataset")
     p.add_argument("--patches-per-class", type=int)
     p.set_defaults(func=cmd_synth)
@@ -364,11 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the patch classifier", exit_on_error=False)
     p.add_argument("--dataset", required=True, help="patch dataset directory")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--keep-prob", type=float)
-    p.add_argument("--seed", type=int)
+    _add_fields(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a labeling against ground truth", exit_on_error=False)

@@ -6,9 +6,10 @@ convolutions with 32 and 64 feature maps, each followed by ReLU and
 inverted dropout and a 3-class softmax head. All shapes generalize to
 smaller cubic inputs (divisible by 4), which the gradient tests use.
 
-Training is plain mini-batch ADAM on the mean cross-entropy, double
-precision, deterministic for a fixed seed and bit-identical across BLAS
-thread counts and concurrent batch-1 queries (:func:`concurrent_map`).
+Training is plain mini-batch ADAM, with fixed betas and epsilon, on the
+mean cross-entropy, double precision, deterministic for a fixed seed and
+bit-identical across BLAS thread counts and concurrent batch-1 queries
+(:func:`concurrent_map`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 N_CLASSES = 3
+PATCH_SIZE = 32  # the network's input edge: every patch is PATCH_SIZE^3 voxels
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 PARAM_ORDER = (
     "conv1_w",
     "conv1_b",
@@ -156,21 +159,20 @@ class CnnModel:
     input_size: int
     conv_channels: tuple[int, int]
     fc_units: int
-    n_classes: int
     kernel_size: int
     seed: int
     params: dict[str, np.ndarray]
 
     def __post_init__(self):
         for name, shape in expected_shapes(
-            self.input_size, self.conv_channels, self.fc_units, self.n_classes, self.kernel_size
+            self.input_size, self.conv_channels, self.fc_units, self.kernel_size
         ).items():
             got = self.params[name].shape
             if got != shape:
                 raise ValueError(f"parameter {name}: expected shape {shape}, got {got}")
 
 
-def expected_shapes(input_size, conv_channels, fc_units, n_classes, kernel_size=5):
+def expected_shapes(input_size, conv_channels, fc_units, kernel_size=5):
     if input_size % 4 != 0:
         raise ValueError(f"input size must be divisible by 4, got {input_size}")
     c1, c2 = conv_channels
@@ -183,16 +185,15 @@ def expected_shapes(input_size, conv_channels, fc_units, n_classes, kernel_size=
         "conv2_b": (c2,),
         "fc1_w": (flat, fc_units),
         "fc1_b": (fc_units,),
-        "out_w": (fc_units, n_classes),
-        "out_b": (n_classes,),
+        "out_w": (fc_units, N_CLASSES),
+        "out_b": (N_CLASSES,),
     }
 
 
 def init_model(
-    input_size: int = 32,
+    input_size: int = PATCH_SIZE,
     conv_channels: tuple[int, int] = (32, 64),
     fc_units: int = 1024,
-    n_classes: int = N_CLASSES,
     kernel_size: int = 5,
     seed: int = 0,
     rng: np.random.Generator | None = None,
@@ -200,15 +201,13 @@ def init_model(
     """He fan-in normal initialization for weights, zeros for biases."""
     rng = rng if rng is not None else np.random.default_rng(seed)
     params = {}
-    for name, shape in expected_shapes(
-        input_size, conv_channels, fc_units, n_classes, kernel_size
-    ).items():
+    for name, shape in expected_shapes(input_size, conv_channels, fc_units, kernel_size).items():
         if name.endswith("_b"):
             params[name] = np.zeros(shape, dtype=np.float64)
         else:
             fan_in = int(np.prod(shape[:-1]))
             params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-    return CnnModel(input_size, tuple(conv_channels), fc_units, n_classes, kernel_size, seed, params)
+    return CnnModel(input_size, tuple(conv_channels), fc_units, kernel_size, seed, params)
 
 
 def forward(
@@ -350,9 +349,6 @@ def concurrent_map(fn, items) -> list:
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 10
     epochs: int = 10
     keep_prob: float = 0.5
@@ -363,10 +359,8 @@ class TrainConfig:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not (0.0 < self.learning_rate < np.inf and 0.0 < self.eps < np.inf):
-            raise ValueError(f"learning_rate and eps must be finite and > 0: {self}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"beta1 and beta2 must be in [0, 1): {self}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -376,17 +370,11 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState,
+              lr: float) -> None:
     """One in-place ADAM update with bias correction, rounded exactly as
-    ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``.
+    ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``, with the fixed
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     Each tensor is updated in blocks of leading-axis rows of about
     ``ADAM_BLOCK`` elements through block-sized scratch arrays, so the
@@ -396,8 +384,8 @@ def adam_step(
     update, bit-equal to the whole product: no block is one row (gemv).
     """
     state.t += 1
-    b1t = 1.0 - beta1**state.t
-    b2t = 1.0 - beta2**state.t
+    b1t = 1.0 - ADAM_BETA1**state.t
+    b2t = 1.0 - ADAM_BETA2**state.t
     for name, p in params.items():
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
@@ -413,12 +401,12 @@ def adam_step(
                 np.matmul(g.a.T[lo:hi], g.b, out=gb)
             else:
                 gb = np.atleast_1d(g)[lo:hi]
-            mb *= beta1
-            mb += np.multiply(gb, 1.0 - beta1, out=step)
-            vb *= beta2
-            vb += np.multiply(np.multiply(gb, gb, out=step), 1.0 - beta2, out=step)
+            mb *= ADAM_BETA1
+            mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
+            vb *= ADAM_BETA2
+            vb += np.multiply(np.multiply(gb, gb, out=step), 1.0 - ADAM_BETA2, out=step)
             np.sqrt(np.divide(vb, b2t, out=denom), out=denom)
-            denom += eps
+            denom += ADAM_EPS
             np.multiply(np.divide(mb, b1t, out=step), lr, out=step)
             pb -= np.divide(step, denom, out=step)
 
@@ -435,7 +423,7 @@ def train(
     classes: np.ndarray,
     config: TrainConfig,
     model: CnnModel | None = None,
-    input_size: int = 32,
+    input_size: int = PATCH_SIZE,
 ):
     """Mini-batch ADAM on mean cross-entropy; returns (model, loss trace).
 
@@ -462,15 +450,7 @@ def train(
             _, grads = loss_and_grads(
                 model, x[batch], classes[batch], train=True, keep_prob=config.keep_prob, rng=rng
             )
-            adam_step(
-                model.params,
-                grads,
-                state,
-                config.learning_rate,
-                config.beta1,
-                config.beta2,
-                config.eps,
-            )
+            adam_step(model.params, grads, state, config.learning_rate)
         trace.append(mean_cross_entropy(model, x, classes))
     return model, np.array(trace)
 
@@ -485,7 +465,7 @@ def save_model(model: CnnModel, path: str) -> None:
         "input_size": model.input_size,
         "conv_channels": list(model.conv_channels),
         "fc_units": model.fc_units,
-        "n_classes": model.n_classes,
+        "n_classes": N_CLASSES,
         "kernel_size": model.kernel_size,
         "seed": model.seed,
         "precision": "f64",
@@ -506,6 +486,8 @@ def load_model(path: str) -> CnnModel:
         header = json.loads(fh.readline().decode("utf-8"))
         if header.get("format") != "cellforest-cnn v1":
             raise ValueError(f"{path}: not a cellforest model file")
+        if (n := header.get("n_classes")) != N_CLASSES:
+            raise ValueError(f"{path}: header gives {n} classes, not {N_CLASSES}")
         names = [entry["name"] for entry in header["params"]]
         for name in dict.fromkeys([*names, *PARAM_ORDER]):
             if name not in PARAM_ORDER:
@@ -525,7 +507,6 @@ def load_model(path: str) -> CnnModel:
         header["input_size"],
         tuple(header["conv_channels"]),
         header["fc_units"],
-        header["n_classes"],
         header["kernel_size"],
         header["seed"],
         params,

@@ -92,11 +92,18 @@ def layer_report(
     """Per-layer scores: truth cells outside a layer become background,
     so predicted segments are measured only within that layer.
 
-    ``layer_mask`` must paint each truth cell with a single nonzero
-    layer id; id 0 means unassigned and is never scored.
+    ``layer_mask`` must paint each foreground truth cell with a single
+    layer id, else ValueError; id 0 means unassigned and is never scored.
     """
     if layer_mask.labels.shape != truth.labels.shape:
         raise ValueError("layer_mask dims must match truth")
+    t, m = truth.labels.ravel(), layer_mask.labels.ravel()
+    fg = (t != 0) & ~np.isin(t, list(background_truth_labels))
+    layer_of = np.zeros(int(t.max()) + 1, dtype=m.dtype)
+    layer_of[t[fg]] = m[fg]  # one of each cell's ids: any other one differs from it
+    split = t[fg & (layer_of[t] != m)]
+    if split.size:
+        raise ValueError(f"layer_mask gives truth cell {split[0]} more than one layer id")
     reports = {}
     for layer in np.unique(layer_mask.labels):
         if layer == 0:

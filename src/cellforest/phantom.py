@@ -178,18 +178,17 @@ def _coords_patch(v: ScalarVolume, member: np.ndarray) -> np.ndarray:
 
 
 def generate_patch_dataset(
-    params: PhantomParams, v: ScalarVolume, gt: LabelVolume,
-    n_under: int = 20, n_correct: int = 20, n_over: int = 20,
+    params: PhantomParams, v: ScalarVolume, gt: LabelVolume, per_class: int = 20
 ) -> tuple[list[Patch], list[str]]:
     """Labeled training patches cut from the phantom ``(v, gt) =
-    generate_phantom(params)``.
+    generate_phantom(params)``, ``per_class`` of each class.
 
     correct = a whole ground-truth cell; over = a random proper fragment
     of a cell (cut by a plane through its centroid); under = the union
     of 2-3 touching cells. Returns (patches, class names) aligned by
     index.
     """
-    if min(n_under, n_correct, n_over) < 1:
+    if per_class < 1:
         raise ValueError("need at least one patch per class")
     labels = gt.labels
     pairs = _touching_pairs(labels)
@@ -204,7 +203,7 @@ def generate_patch_dataset(
     patches: list[Patch] = []
     classes: list[str] = []
 
-    for _ in range(n_under):
+    for _ in range(per_class):
         a, b = pairs[int(rng.integers(len(pairs)))]
         group = {a, b}
         if rng.random() < 0.5:
@@ -215,12 +214,12 @@ def generate_patch_dataset(
         patches.append(Patch(_coords_patch(v, member)))
         classes.append("under")
 
-    for _ in range(n_correct):
+    for _ in range(per_class):
         c = int(rng.integers(params.n_cells)) + 1
         patches.append(Patch(_coords_patch(v, labels == c)))
         classes.append("correct")
 
-    for _ in range(n_over):
+    for _ in range(per_class):
         frag = _random_fragment(labels, params.n_cells, rng)
         patches.append(Patch(_coords_patch(v, frag)))
         classes.append("over")

@@ -53,7 +53,7 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def gaussian_smooth(v: ScalarVolume, sigma=(1.0, 1.0, 1.0)) -> ScalarVolume:
+def gaussian_smooth(v: ScalarVolume, sigma) -> ScalarVolume:
     """Separable Gaussian smoothing with edge-replicated borders.
 
     ``sigma`` is (sx, sy, sz) in voxels; a zero component is the identity
@@ -164,7 +164,7 @@ def closing(v: ScalarVolume, radius: int) -> ScalarVolume:
     return grayscale_erode(grayscale_dilate(v, radius), radius)
 
 
-def iterative_closing(v: ScalarVolume, r_cl_max: int = 3) -> ScalarVolume:
+def iterative_closing(v: ScalarVolume, r_cl_max: int) -> ScalarVolume:
     """Sequential closings with radii 1..r_cl_max.
 
     Growing radii close progressively wider membrane gaps while staying

@@ -49,30 +49,23 @@ def _check_spacing(spacing):
     return s
 
 
-@dataclass
-class ScalarVolume:
-    """Dense 3D intensity grid.
-
-    ``data`` has shape ``(nz, ny, nx)``. Raw volumes keep their file dtype
-    and value range; :func:`normalize` maps to float64 in [0, 1]. Volumes
-    are treated as immutable after construction.
-    """
-
-    data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+class _Grid:
+    """The checks, extents and voxel volume that both volume kinds share. ``_field``
+    names the array attribute; ``_kind`` is how its shape error names it."""
 
     def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 3:
-            raise ValueError(f"volume data must be 3D, got shape {self.data.shape}")
-        if self.data.size == 0:
+        arr = np.asarray(getattr(self, self._field))
+        setattr(self, self._field, arr)
+        if arr.ndim != 3:
+            raise ValueError(f"{self._kind} data must be 3D, got shape {arr.shape}")
+        if arr.size == 0:
             raise ValueError("volume must be non-empty")
         self.spacing = _check_spacing(self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         """Extents as (nx, ny, nz)."""
-        nz, ny, nx = self.data.shape
+        nz, ny, nx = getattr(self, self._field).shape
         return (nx, ny, nz)
 
     @property
@@ -83,37 +76,37 @@ class ScalarVolume:
 
 
 @dataclass
-class LabelVolume:
+class ScalarVolume(_Grid):
+    """Dense 3D intensity grid.
+
+    ``data`` has shape ``(nz, ny, nx)``. Raw volumes keep their file dtype
+    and value range; :func:`normalize` maps to float64 in [0, 1]. Volumes
+    are treated as immutable after construction.
+    """
+
+    _field, _kind = "data", "volume"
+    data: np.ndarray
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+
+
+@dataclass
+class LabelVolume(_Grid):
     """Dense 3D grid of non-negative segment identifiers.
 
     Label 0 is reserved for background/unassigned voxels. Shares dims and
     spacing with its companion :class:`ScalarVolume`.
     """
 
+    _field, _kind = "labels", "label"
     labels: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        if self.labels.ndim != 3:
-            raise ValueError(f"label data must be 3D, got shape {self.labels.shape}")
-        if self.labels.size == 0:
-            raise ValueError("volume must be non-empty")
+        super().__post_init__()
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if int(self.labels.min()) < 0:
             raise ValueError("labels must be non-negative")
-        self.spacing = _check_spacing(self.spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self.labels.shape
-        return (nx, ny, nz)
-
-    @property
-    def voxel_volume(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
 
 
 Volume = ScalarVolume | LabelVolume

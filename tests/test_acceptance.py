@@ -373,7 +373,7 @@ def test_network_numerics_and_training():
     # training on the 60-patch synthetic set
     train_params = PhantomParams(**TRAIN_PHANTOM)
     patches, class_names = generate_patch_dataset(
-        train_params, *generate_phantom(train_params), 20, 20, 20
+        train_params, *generate_phantom(train_params), 20
     )
     x_train = np.stack([p.data for p in patches])
     y_train = np.array([("under", "correct", "over").index(c) for c in class_names])

@@ -89,12 +89,13 @@ def test_crop_keeps_surrounding_context():
 
 
 def test_crop_oversized_box_block_averages():
-    # downsampling by exactly 2 with pixel-center alignment averages
-    # every 2x2x2 block
+    # the box [2, 61] with its margin of 2 spans the whole 64^3 volume, so
+    # the 32^3 patch downsamples by exactly 2: with pixel-center alignment
+    # each voxel averages one 2x2x2 block
     rng = np.random.default_rng(2)
-    data = rng.random((4, 4, 4))
-    patch = crop_patch(data, np.array([0, 0, 0]), np.array([3, 3, 3]), size=2, margin=0)
-    expected = data.reshape(2, 2, 2, 2, 2, 2).mean(axis=(1, 3, 5))
+    data = rng.random((64, 64, 64))
+    patch = crop_patch(data, np.array([2, 2, 2]), np.array([61, 61, 61]))
+    expected = data.reshape(32, 2, 32, 2, 32, 2).mean(axis=(1, 3, 5))
     np.testing.assert_allclose(patch, expected, atol=1e-12)
 
 

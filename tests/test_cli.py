@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, config handling, artifacts."""
 
+import argparse
 import hashlib
 import importlib.util
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import cellforest.classify as classify_module
 import cellforest.cnn as cnn_module
 from cellforest import cli
 from cellforest.cli import CliError, load_config, main, segment
+from cellforest.cnn import TrainConfig
 from cellforest.merging import MergeParams, load_forest
 from cellforest.metrics import match_segments
 from cellforest.phantom import PhantomParams, generate_phantom
@@ -251,6 +254,37 @@ def test_synth_defaults_are_phantom_params_defaults(tmp_path, capsys):
     for name in ("image.raw", "image.mvol.json", "truth.raw", "truth.mvol.json"):
         cli_bytes = (tmp_path / "cli" / f"ph.{name}").read_bytes()
         assert cli_bytes == (tmp_path / "lib" / f"ph.{name}").read_bytes(), name
+
+
+FIELD_COMMANDS = [
+    ("synth", PhantomParams, ["--output-prefix"], {"--patches-dir", "--patches-per-class"}),
+    ("train", TrainConfig, ["--dataset", "--model-out"], set()),
+]
+
+
+def field_flags(params):
+    return [f"--{f.name.replace('_', '-')}" for f in fields(params)]
+
+
+@pytest.mark.parametrize("command, params, required, optional", FIELD_COMMANDS)
+def test_synth_and_train_flags_are_the_parameter_fields(command, params, required, optional):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices[command]._actions for s in a.option_strings} - {"-h", "--help"}
+    assert flags == set(field_flags(params)) | set(required) | optional
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, flag) for c, params, *_ in FIELD_COMMANDS for flag in field_flags(params)],
+)
+def test_unparsable_field_flag_is_config_failure(tmp_path, capsys, command, flag):
+    required = {"synth": ["--output-prefix", str(tmp_path / "p")],
+                "train": ["--dataset", str(tmp_path / "ds"), "--model-out", str(tmp_path / "m")]}
+    rc, _, err = run(capsys, command, *required[command], flag, "x")
+    assert rc == 2
+    assert err.startswith("error [stage config]:")
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +651,14 @@ def test_benchmark_hooks_see_each_stage_once(phantom, tmp_path, capsys, monkeypa
     assert {n: calls[n] for n in stages} == dict.fromkeys(stages, 1)
 
 
+def test_benchmark_selftest_passes():
+    # a change that breaks a benchmark hook, an output file or a gate fails here
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+
+
 def test_segment_with_heuristic_classifier(phantom, tmp_path, capsys):
     out = tmp_path / "heur"
     rc, stdout, _ = run(
@@ -879,6 +921,35 @@ def test_cnn_segment_restores_blas_threads(forest_runs, tmp_path, capsys):
         put(old)
 
 
+def test_cnn_model_of_another_input_size_is_data_error(phantom, tmp_path, capsys):
+    # such a model exited 0 here, where no node gets queried, and on a larger
+    # phantom failed in stage resolve with a matmul shape error
+    path = tmp_path / "m16.bin"
+    small = cnn_module.init_model(input_size=16, conv_channels=(2, 4), fc_units=8, seed=1)
+    cnn_module.save_model(small, path)
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
+                     str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
+                     *SEG_FLAGS)
+    assert rc == 4
+    assert err.startswith("error [stage data]:")
+    assert "16^3" in err and "32^3" in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cnn_model_of_another_class_count_is_io_error(phantom, tmp_path, capsys):
+    path = Path(tiny_cnn(tmp_path / "m.bin"))
+    header, _, payload = path.read_bytes().partition(b"\n")
+    assert b'"n_classes": 3,' in header
+    path.write_bytes(header.replace(b'"n_classes": 3,', b'"n_classes": 4,') + b"\n" + payload)
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
+                     str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
+                     *SEG_FLAGS)
+    assert rc == 3
+    assert err.startswith("error [stage io]:")
+    assert "4 classes" in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_supervoxels_of_another_spacing_are_data_error(forest_runs, tmp_path, capsys):
     run3 = forest_runs[0]
     sv = read_volume(f"{run3}.sv.mvol.json")
@@ -986,6 +1057,23 @@ def test_eval_layer_mask_rows(phantom, capsys, tmp_path):
     assert rc == 0
     assert "lmtest[layer 1]" in out
     assert out.count("[layer") >= 2
+
+
+def test_eval_layer_mask_that_splits_a_cell_is_eval_error(tmp_path, capsys):
+    # cell 1 in layers 1 and 2 used to score as a true positive in both (exit 0)
+    truth = np.ones((4, 4, 4), dtype=np.uint32)
+    truth[:, :, 2:] = 2
+    layers = truth.copy()
+    layers[0, 0, 0] = 2
+    write_volume(LabelVolume(truth), str(tmp_path / "truth.mvol.json"))
+    write_volume(LabelVolume(layers), str(tmp_path / "layers.mvol.json"))
+    rc, out, err = run(capsys, "eval", str(tmp_path / "truth.mvol.json"),
+                       str(tmp_path / "truth.mvol.json"), "--layer-mask",
+                       str(tmp_path / "layers.mvol.json"))
+    assert rc == 4
+    assert err.startswith("error [stage eval]:")
+    assert "truth cell 1 " in err
+    assert out == ""
 
 
 def test_eval_bad_background_is_config_failure(phantom, capsys):

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from cellforest.cnn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PARAM_ORDER,
     AdamState,
     CnnModel,
@@ -211,7 +214,7 @@ def test_cross_entropy_gradient_finite_difference():
 
 
 def test_expected_shapes_full_size():
-    shapes = expected_shapes(32, (32, 64), 1024, 3, 5)
+    shapes = expected_shapes(32, (32, 64), 1024, 5)
     assert shapes["conv1_w"] == (5, 5, 5, 1, 32)
     assert shapes["conv2_w"] == (5, 5, 5, 32, 64)
     assert shapes["fc1_w"] == (8 * 8 * 8 * 64, 1024)
@@ -221,7 +224,7 @@ def test_expected_shapes_full_size():
 
 def test_expected_shapes_rejects_indivisible_input():
     with pytest.raises(ValueError):
-        expected_shapes(33, (8, 8), 16, 3)
+        expected_shapes(33, (8, 8), 16)
 
 
 def test_model_validates_parameter_shapes():
@@ -229,7 +232,7 @@ def test_model_validates_parameter_shapes():
     bad = dict(model.params)
     bad["conv1_b"] = np.zeros(7)
     with pytest.raises(ValueError):
-        CnnModel(4, (2, 2), 4, 3, 3, 0, bad)
+        CnnModel(4, (2, 2), 4, 3, 0, bad)
 
 
 def test_init_model_deterministic_with_zero_biases():
@@ -343,10 +346,11 @@ def test_adam_matches_independent_replay():
     state = AdamState()
     m = {k: np.zeros_like(v) for k, v in shadow.items()}
     v = {k: np.zeros_like(u) for k, u in shadow.items()}
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 0.01, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
     for t in range(1, 6):
         grads = {k: rng.standard_normal(p.shape) for k, p in shadow.items()}
-        adam_step(params, grads, state, lr, b1, b2, eps)
+        adam_step(params, grads, state, lr)
         for k in shadow:
             m[k] = b1 * m[k] + (1 - b1) * grads[k]
             v[k] = b2 * v[k] + (1 - b2) * grads[k] ** 2
@@ -444,7 +448,7 @@ def adam_digests(p, grad):
 def test_adam_streamed_fc1_gradient_bit_equal_to_dense_at_production_shape(batch):
     # fc1_w is 32768 x 1024: blocks of 64 rows; the dense run holds one
     # parameter-sized gradient, so the two runs are compared by digest
-    shape = expected_shapes(32, (32, 64), 1024, 3)["fc1_w"]
+    shape = expected_shapes(32, (32, 64), 1024)["fc1_w"]
     rng = np.random.default_rng(batch)
     a, b = rng.standard_normal((batch, shape[0])), rng.standard_normal((batch, shape[1]))
     p = np.random.default_rng(100 + batch).standard_normal(shape) * 0.01
@@ -528,13 +532,14 @@ def test_train_config_validation():
     + [(f, v) for f in ("beta1", "beta2") for v in (1.0, -0.1, 2.0, math.nan)],
 )
 def test_train_config_rejects_bad_optimizer_settings(field, value):
-    with pytest.raises(ValueError, match=field):
+    # ADAM's betas and epsilon are constants, not settings: no value of theirs is accepted
+    with pytest.raises(ValueError if field == "learning_rate" else TypeError, match=field):
         TrainConfig(**{field: value})
 
 
 def test_train_config_accepts_optimizer_edges():
-    TrainConfig(learning_rate=1e-12, eps=1e-300, beta1=0.0, beta2=0.0)
-    TrainConfig(learning_rate=10.0, beta1=0.999999, beta2=np.nextafter(1.0, 0.0))
+    TrainConfig(learning_rate=1e-12)
+    TrainConfig(learning_rate=10.0)
 
 
 def test_train_peak_memory_beyond_the_model():
@@ -603,6 +608,24 @@ def rewrite_header(path, out, edit):
     payload = edit(meta, payload)
     out.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
     return out
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, None])
+def test_load_model_rejects_another_class_count(tmp_path, n_classes):
+    # such a file used to load, and the run failed at its first query
+    import json
+
+    path = tmp_path / "net.model"
+    save_model(small_model(seed=27), path)
+    assert json.loads(path.read_bytes().partition(b"\n")[0])["n_classes"] == 3
+
+    def recount(meta, payload):
+        meta["n_classes"] = n_classes
+        return payload
+
+    bad = rewrite_header(path, tmp_path / "classes.model", recount)
+    with pytest.raises(ValueError, match=f"header gives {n_classes} classes, not 3"):
+        load_model(bad)
 
 
 def test_load_model_rejects_duplicated_parameter(tmp_path):

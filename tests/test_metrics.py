@@ -170,6 +170,20 @@ def test_layer_zero_is_skipped_and_empty_layer_vacuous():
     assert reports[3].precision == 1.0 and reports[3].recall == 1.0
 
 
+@pytest.mark.parametrize("other_id", [2, 0])
+def test_layer_mask_that_splits_a_cell_is_rejected(other_id):
+    # cell 1 in layers 1 and 2 used to score as a true positive in both
+    truth = np.ones((4, 4, 4), dtype=np.int64)
+    truth[:, :, 2:] = 2
+    layers = truth.copy()
+    layers[0, 0, 0] = other_id  # 0 counts as an id
+    with pytest.raises(ValueError, match="truth cell 1 more than one layer id"):
+        layer_report(lv(truth), lv(truth), lv(layers))
+    # a background cell is not scored, so it may span layers
+    reports = layer_report(lv(truth), lv(truth), lv(layers), frozenset({1}))
+    assert (reports[2].tp, reports[2].fp, reports[2].fn) == (1, 0, 0)
+
+
 def test_layer_mask_dims_must_match():
     with pytest.raises(ValueError):
         layer_report(

@@ -37,8 +37,8 @@ def small_params(**overrides):
     return PhantomParams(**base)
 
 
-def patch_dataset(params, *counts):
-    return generate_patch_dataset(params, *generate_phantom(params), *counts)
+def patch_dataset(params, per_class):
+    return generate_patch_dataset(params, *generate_phantom(params), per_class)
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +324,33 @@ def test_noise_is_additive_and_clipped():
 
 
 def test_patch_dataset_counts_and_classes():
-    patches, classes = patch_dataset(small_params(), 4, 3, 2)
+    patches, classes = patch_dataset(small_params(), 3)
     assert len(patches) == 9
-    assert classes == ["under"] * 4 + ["correct"] * 3 + ["over"] * 2
+    assert classes == ["under"] * 3 + ["correct"] * 3 + ["over"] * 3
     for patch in patches:
         assert patch.data.shape == (32, 32, 32)
         assert 0.0 <= patch.data.min() and patch.data.max() <= 1.0
 
 
 def test_patch_dataset_deterministic():
-    a, _ = patch_dataset(small_params(), 2, 2, 2)
-    b, _ = patch_dataset(small_params(), 2, 2, 2)
+    a, _ = patch_dataset(small_params(), 2)
+    b, _ = patch_dataset(small_params(), 2)
     for pa, pb in zip(a, b):
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
 def test_patch_dataset_needs_touching_cells():
     with pytest.raises(DatasetError):
-        patch_dataset(PhantomParams(dims=(8, 8, 8), n_cells=1), 1, 1, 1)
+        patch_dataset(PhantomParams(dims=(8, 8, 8), n_cells=1), 1)
 
 
 def test_patch_dataset_rejects_zero_counts():
     with pytest.raises(ValueError):
-        patch_dataset(small_params(), 0, 1, 1)
+        patch_dataset(small_params(), 0)
 
 
 def test_patch_dataset_round_trip(tmp_path):
-    patches, classes = patch_dataset(small_params(), 2, 2, 2)
+    patches, classes = patch_dataset(small_params(), 2)
     save_patch_dataset(tmp_path / "ds", patches, classes)
     x, y = load_patch_dataset(tmp_path / "ds")
     assert x.shape == (6, 32, 32, 32)
@@ -408,6 +408,6 @@ def test_load_dataset_rejects_bad_patch_values(tmp_path, bad):
 
 
 def test_save_dataset_rejects_unknown_class(tmp_path):
-    patches, _ = patch_dataset(small_params(), 1, 1, 1)
+    patches, _ = patch_dataset(small_params(), 1)
     with pytest.raises(DatasetError):
         save_patch_dataset(tmp_path / "ds", patches, ["under", "correct", "nope"])
