@@ -176,16 +176,21 @@ def segment(
     sv: LabelVolume | None = None, forest: MergeForest | None = None,
 ) -> Run:
     """The pipeline: normalize -> smooth -> close -> minima -> flood -> region graph
-    -> agglomerate -> tree cut by ``classifier`` (the CNN read from ``model_path``, which
-    must take PATCH_SIZE^3 patches) -> final labels. A given ``pre``, ``sv`` or ``forest``
-    replaces the stages that make it (``volume`` is then unused). A given ``pre`` must lie
-    in [0, 1], given supervoxels must have its shape and spacing, and a given forest must
-    match their leaf voxel counts and voxel volume. Failures raise :class:`CliError`
-    naming the stage."""
+    -> agglomerate -> tree cut by ``classifier`` (the CNN read from ``model_path`` before
+    all else, which must take PATCH_SIZE^3 patches) -> final labels. A given ``pre``,
+    ``sv`` or ``forest`` replaces the stages that make it (``volume`` is then unused). A
+    given ``pre`` must lie in [0, 1], given supervoxels must have its shape and spacing,
+    and a given forest must match their leaf voxel counts and voxel volume. Failures raise
+    :class:`CliError` naming the stage."""
     if classifier not in CLASSIFIERS:
         raise CliError("config", 2, f"unknown classifier {classifier!r}")
     if classifier == "cnn" and not model_path:
         raise CliError("config", 2, "classifier cnn requires a model path (--model-path)")
+    with stage("io", 3):
+        model = load_model(model_path) if classifier == "cnn" else None
+    if model is not None and model.input_size != PATCH_SIZE:
+        raise CliError("data", 4, f"{model_path}: the model takes {model.input_size}^3 "
+                                  f"patches, not {PATCH_SIZE}^3")
     if pre is None:
         pre_params = pre_params or PreprocessParams()
         with stage("preprocess"):
@@ -215,11 +220,6 @@ def segment(
         if classifier == "none":
             resolution = resolve_trivial(forest)
         else:
-            with stage("io", 3):
-                model = load_model(model_path) if classifier == "cnn" else None
-            if model is not None and model.input_size != PATCH_SIZE:
-                raise CliError("data", 4, f"{model_path}: the model takes {model.input_size}^3 "
-                                          f"patches, not {PATCH_SIZE}^3")
             classify_fn = hypothesis_classifier(pre, forest, sv, params, model)
             resolution = resolve(forest, classify_fn, map if model is None else concurrent_map)
         labels = finalize(forest, resolution, sv)

@@ -7,14 +7,17 @@ inverted dropout and a 3-class softmax head. All shapes generalize to
 smaller cubic inputs (divisible by 4), which the gradient tests use.
 
 Training is plain mini-batch ADAM, with fixed betas and epsilon, on the
-mean cross-entropy, double precision, deterministic for a fixed seed and
-bit-identical across BLAS thread counts and concurrent batch-1 queries
-(:func:`concurrent_map`).
+mean cross-entropy, double precision, deterministic for a fixed seed. The
+tree cut's batch-1 queries, a batch's convolution samples, the backward's
+weight-gradient offsets and per-sample input gradients, and ADAM's runs of
+row blocks run on every usable CPU (:func:`concurrent_map`); the bits do
+not depend on that or on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -53,9 +56,10 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``x`` is (n, d, h, wd, c_in), ``w`` is (k, k, k, c_in, c_out). The
     kernel is applied as a correlation. Each sample is lowered to patch
     matrix rows (columns (dz, dy, dx, c_in)) a block of whole z-slices at
-    a time, at most ``CONV_BLOCK`` bytes unless one slice is larger, in one
-    reused buffer; each block is multiplied into the output. The dot
-    products, and so the rounding, are those of one whole-matrix product.
+    a time, at most ``CONV_BLOCK`` bytes unless one slice is larger, in a
+    buffer reused by its worker; each block is multiplied into the output.
+    The dot products, and so the rounding, are those of one whole-matrix
+    product. The samples run through :func:`concurrent_map`.
     """
     n, d, h, wd, c_in = x.shape
     k = w.shape[0]
@@ -65,23 +69,31 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
     wm = w.reshape(-1, c_out)
     zs = max(1, min(d, CONV_BLOCK // (h * wd * len(wm) * 8)))
-    buf = np.empty((zs, h, wd, k, k, k, c_in), dtype=np.float64)
+    workers = min(n, len(os.sched_getaffinity(0)))  # the most concurrent_map runs at once
+    bufs = [np.empty((zs, h, wd, k, k, k, c_in), dtype=np.float64) for _ in range(workers)]
     out = np.empty((n, d, h, wd, c_out), dtype=np.float64)
-    for i in range(n):
+
+    def sample(i):
+        buf = bufs.pop()
         for z in range(0, d, zs):
             rows = buf[: min(zs, d - z)]
             np.copyto(rows, win[i, z : z + zs].transpose(0, 1, 2, 4, 5, 6, 3))
             np.matmul(rows.reshape(-1, len(wm)), wm, out=out[i, z : z + zs].reshape(-1, c_out))
-    out += b
+        out[i] += b
+        bufs.append(buf)
+
+    concurrent_map(sample, range(n))
     return out
 
 
 def conv3d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True):
     """Gradients of :func:`conv3d_forward` w.r.t. input, weights and bias.
 
-    Works offset-by-offset over the whole batch: the accumulated matmuls
-    see long inner dimensions, and no k^3-redundant patch matrix is ever
-    materialized for the gradient pass. With ``input_grad`` off (the first
+    Works offset-by-offset: each offset's weight gradient is one matmul
+    over the whole batch, with a long inner dimension, and no k^3-redundant
+    patch matrix is ever materialized for the gradient pass. Each sample's
+    input gradient accumulates its offsets in order. These are independent
+    tasks for :func:`concurrent_map`. With ``input_grad`` off (the first
     layer, whose input is the data) the input gradient is skipped and
     returned as None.
     """
@@ -90,16 +102,20 @@ def conv3d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bo
     p = k // 2
     xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
     dy2 = dy.reshape(-1, w.shape[4])
-    dw = np.zeros_like(w)
+    dw = np.empty_like(w)
     dxp = np.zeros_like(xp) if input_grad else None
-    for dz in range(k):
-        for dd in range(k):
-            for dx_ in range(k):
-                sl = (slice(None), slice(dz, dz + d), slice(dd, dd + h), slice(dx_, dx_ + wd))
-                xs = xp[sl].reshape(-1, c_in)
-                dw[dz, dd, dx_] = xs.T @ dy2
-                if input_grad:
-                    dxp[sl] += (dy2 @ w[dz, dd, dx_].T).reshape(n, d, h, wd, c_in)
+    offsets = list(np.ndindex(k, k, k))
+    at = lambda o: (slice(o[0], o[0] + d), slice(o[1], o[1] + h), slice(o[2], o[2] + wd))
+
+    def task(job):
+        if isinstance(job, int):  # sample job's input gradient, its offsets in order
+            dyi = dy2.reshape(n, -1, dy2.shape[1])[job]
+            for o in offsets:
+                dxp[(job, *at(o))] += (dyi @ w[o].T).reshape(d, h, wd, c_in)
+        else:
+            dw[job] = xp[(slice(None), *at(job))].reshape(-1, c_in).T @ dy2
+
+    concurrent_map(task, [*range(n if input_grad else 0), *offsets])
     db = dy2.sum(axis=0)
     dx = dxp[:, p : p + d, p : p + h, p : p + wd, :] if input_grad else None
     return dx, dw, db
@@ -303,8 +319,9 @@ def predict_probs(model: CnnModel, x: np.ndarray) -> np.ndarray:
     return softmax(logits)
 
 
+@functools.cache
 def _openblas():
-    """``(get, set)`` of numpy's OpenBLAS thread count, from the loaded libraries, or None."""
+    """``(get, set)`` of numpy's OpenBLAS thread count, looked up once, or None."""
     with open("/proc/self/maps") as fh:
         paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
     for lib in map(ctypes.CDLL, paths):  # scipy's own OpenBLAS exports neither name
@@ -321,7 +338,9 @@ def concurrent_map(fn, items) -> list:
     """``list(map(fn, items))`` by the calling thread and a helper per other usable CPU,
     with numpy's OpenBLAS at one thread until all are done. Without a BLAS setter, on
     one CPU or for one item, the calling thread runs alone and BLAS keeps its threads."""
-    items, blas = list(items), _openblas()
+    if len(items := list(items)) < 2:
+        return list(map(fn, items))
+    blas = _openblas()
     todo, out = iter(enumerate(items)), [None] * len(items)
 
     def work(_=None):
@@ -382,33 +401,42 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     crosses memory once per step instead of once per arithmetic operation.
     An :class:`OuterProduct` gradient is formed just before each block's
     update, bit-equal to the whole product: no block is one row (gemv).
+    A contiguous run of whole blocks per usable CPU, each with its own
+    scratch arrays, goes through :func:`concurrent_map`; the moments start
+    as untouched zero pages, first written by that update.
     """
     state.t += 1
     b1t = 1.0 - ADAM_BETA1**state.t
     b2t = 1.0 - ADAM_BETA2**state.t
     for name, p in params.items():
         if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+            state.m[name], state.v[name] = np.zeros(np.shape(p)), np.zeros(np.shape(p))
         p, m, v = (np.atleast_1d(a) for a in (p, state.m[name], state.v[name]))
         g = grads[name]
         rows = max(2, ADAM_BLOCK * len(p) // max(p.size, 1))
         stops = [*range(rows, len(p) - 1, rows), len(p)]  # a one-row tail joins its block
-        bufs = [np.empty_like(p[: rows + 1]) for _ in range(3)]
-        for lo, hi in zip([0, *stops], stops):
-            pb, mb, vb = (a[lo:hi] for a in (p, m, v))
-            step, denom, gb = (buf[: hi - lo] for buf in bufs)
-            if isinstance(g, OuterProduct):
-                np.matmul(g.a.T[lo:hi], g.b, out=gb)
-            else:
-                gb = np.atleast_1d(g)[lo:hi]
-            mb *= ADAM_BETA1
-            mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
-            vb *= ADAM_BETA2
-            vb += np.multiply(np.multiply(gb, gb, out=step), 1.0 - ADAM_BETA2, out=step)
-            np.sqrt(np.divide(vb, b2t, out=denom), out=denom)
-            denom += ADAM_EPS
-            np.multiply(np.divide(mb, b1t, out=step), lr, out=step)
-            pb -= np.divide(step, denom, out=step)
+        blocks = list(zip([0, *stops], stops))
+        runs = np.array_split(blocks, min(len(blocks), len(os.sched_getaffinity(0))))
+
+        def update(run):
+            bufs = [np.empty_like(p[: rows + 1]) for _ in range(3)]
+            for lo, hi in run:
+                pb, mb, vb = (a[lo:hi] for a in (p, m, v))
+                step, denom, gb = (buf[: hi - lo] for buf in bufs)
+                if isinstance(g, OuterProduct):
+                    np.matmul(g.a.T[lo:hi], g.b, out=gb)
+                else:
+                    gb = np.atleast_1d(g)[lo:hi]
+                mb *= ADAM_BETA1
+                mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
+                vb *= ADAM_BETA2
+                vb += np.multiply(np.multiply(gb, gb, out=step), 1.0 - ADAM_BETA2, out=step)
+                np.sqrt(np.divide(vb, b2t, out=denom), out=denom)
+                denom += ADAM_EPS
+                np.multiply(np.divide(mb, b1t, out=step), lr, out=step)
+                pb -= np.divide(step, denom, out=step)
+
+        concurrent_map(update, runs)
 
 
 def mean_cross_entropy(model: CnnModel, x: np.ndarray, classes: np.ndarray) -> float:

@@ -902,6 +902,68 @@ def test_cnn_failure_in_a_helper_thread_is_resolve_failure(forest_runs, tmp_path
     assert not (tmp_path / "out.labels.mvol.json").exists()
 
 
+def test_cnn_recut_starts_no_pool_in_a_helper_thread(forest_runs, tmp_path, capsys,
+                                                     monkeypatch):
+    # a wave's batch-1 forwards run on helper threads; their convolutions
+    # must take the in-thread path instead of nesting a second pool
+    run3 = forest_runs[0]
+    pools, forwards = [], []
+
+    class Pool(cnn_module.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(threading.current_thread())
+            super().__init__(*args, **kwargs)
+
+    def conv3d_forward(x, w, b):
+        forwards.append((threading.current_thread(), len(x)))
+        return real(x, w, b)
+
+    real = cnn_module.conv3d_forward
+    monkeypatch.setattr(cnn_module, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(cnn_module, "conv3d_forward", conv3d_forward)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cnn_module, "_openblas", lambda: (lambda: 4, lambda n: None))
+    rc, _, _ = run(capsys, "segment", "--preprocessed-in", f"{run3}.pre.mvol.json",
+                   "--supervoxels-in", f"{run3}.sv.mvol.json", "--forest-in",
+                   f"{run3}.forest.txt", "--output-prefix", str(tmp_path / "out"),
+                   "--classifier", "cnn", "--model-path", tiny_cnn(tmp_path / "m.bin"),
+                   *FOREST_FLAGS)
+    assert rc == 0
+    assert pools and set(pools) == {threading.main_thread()}
+    assert {n for _, n in forwards} == {1}
+    assert {t for t, _ in forwards} - {threading.main_thread()}  # helpers ran forwards
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_train_restores_blas_threads(patch_dir, tmp_path, capsys, monkeypatch, fails):
+    blas = cnn_module._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count setter among the loaded libraries")
+    get, put = blas
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if fails:  # a gradient factor of the wrong width: ADAM's block products raise
+        real = cnn_module.backward
+
+        def backward(*args):
+            grads = real(*args)
+            grads["fc1_w"] = cnn_module.OuterProduct(grads["fc1_w"].a, grads["fc1_w"].b[:, 1:])
+            return grads
+
+        monkeypatch.setattr(cnn_module, "backward", backward)
+    old = get()
+    try:
+        put(2)
+        rc, _, err = run(capsys, "train", "--dataset", str(patch_dir), "--model-out",
+                         str(tmp_path / "m"), "--epochs", "1", "--batch-size", "3")
+        assert get() == 2
+    finally:
+        put(old)
+    assert rc == (4 if fails else 0)
+    assert (tmp_path / "m").exists() != fails
+    if fails:
+        assert err.startswith("error [stage train]:")
+
+
 def test_cnn_segment_restores_blas_threads(forest_runs, tmp_path, capsys):
     blas = cnn_module._openblas()
     if blas is None:
@@ -933,6 +995,24 @@ def test_cnn_model_of_another_input_size_is_data_error(phantom, tmp_path, capsys
     assert rc == 4
     assert err.startswith("error [stage data]:")
     assert "16^3" in err and "32^3" in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("model, code, stage_name", [("absent", 3, "io"), ("16^3", 4, "data")])
+def test_cnn_model_is_checked_before_preprocessing(phantom, tmp_path, capsys, monkeypatch,
+                                                   model, code, stage_name):
+    # the model used to be read and checked in stage resolve, after the whole pipeline
+    path = tmp_path / "m.bin"
+    if model == "16^3":
+        small = cnn_module.init_model(input_size=16, conv_channels=(2, 4), fc_units=8, seed=1)
+        cnn_module.save_model(small, path)
+    smoothed = []
+    monkeypatch.setattr(cli, "gaussian_smooth", lambda *a: smoothed.append(a))
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
+                     str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
+                     *SEG_FLAGS)
+    assert (rc, smoothed) == (code, [])
+    assert err.startswith(f"error [stage {stage_name}]:")
     assert not list(tmp_path.glob("out*"))
 
 

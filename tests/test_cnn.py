@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -558,6 +560,89 @@ def test_train_peak_memory_beyond_the_model():
         tracemalloc.stop()
     ratio = (peak - before) / param_bytes
     assert ratio < 2.5, f"train peak {ratio:.2f} x parameter bytes"
+
+
+# ---------------------------------------------------------------------------
+# concurrent training work: the bits of the calling thread alone
+
+
+@pytest.fixture
+def crowded(monkeypatch):
+    """Eight workers, more than the cores, switching threads every 10 us."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield monkeypatch
+    sys.setswitchinterval(interval)
+
+
+def both_ways(monkeypatch, fn):
+    """``fn()`` with :func:`concurrent_map` as it is, then with the plain map."""
+    concurrent = fn()
+    with monkeypatch.context() as m:
+        m.setattr(cnn_module, "concurrent_map", lambda f, xs: list(map(f, xs)))
+        return concurrent, fn()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_conv_forward_samples_concurrently_bit_equal(crowded, n):
+    crowded.setattr(cnn_module, "CONV_BLOCK", 3 * 8 * 8 * 5**3 * 2 * 8)  # 3 of 8 slices a block
+    rng = np.random.default_rng(n)
+    x, w = rng.standard_normal((n, 8, 8, 8, 2)), rng.standard_normal((5, 5, 5, 2, 4))
+    b = rng.random(4)
+    concurrent, alone = both_ways(crowded, lambda: conv3d_forward(x, w, b))
+    assert np.array_equal(concurrent, alone)
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conv_backward_tasks_concurrently_bit_equal(crowded, n, input_grad):
+    rng = np.random.default_rng(10 + n)
+    x, w = rng.standard_normal((n, 8, 8, 8, 3)), rng.standard_normal((5, 5, 5, 3, 4))
+    dy = rng.standard_normal((n, 8, 8, 8, 4))
+    concurrent, alone = both_ways(crowded, lambda: conv3d_backward(x, w, dy, input_grad))
+    assert (concurrent[0] is None) == (alone[0] is None) == (not input_grad)
+    for a, b in zip(concurrent, alone):
+        assert a is b is None or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "factors"])
+def test_adam_runs_concurrently_bit_equal(crowded, dense):
+    # 64-row blocks: "w" has (0, 64), (64, 129), its one-row tail joined; "u" has 16
+    rng = np.random.default_rng(31)
+    start = {"w": rng.standard_normal((129, 1024)), "u": rng.standard_normal((1024, 1024)),
+             "b": rng.standard_normal(1024)}
+    factors = [(rng.standard_normal((3, len(p))), rng.standard_normal((3, 1024)))
+               for _ in range(2) for p in (start["w"], start["u"])]
+
+    def two_steps():
+        params, state, seen = {k: p.copy() for k, p in start.items()}, AdamState(), []
+        for t in range(2):
+            (aw, bw), (au, bu) = factors[2 * t : 2 * t + 2]
+            grads = {"w": OuterProduct(aw, bw), "u": OuterProduct(au, bu), "b": bw.sum(axis=0)}
+            if dense:
+                grads = {k: np.asarray(g) for k, g in grads.items()}
+            adam_step(params, grads, state, 0.01)
+            seen += [a.copy() for k in start for a in (params[k], state.m[k], state.v[k])]
+        return seen
+
+    concurrent, alone = both_ways(crowded, two_steps)
+    assert len(concurrent) == len(alone) == 18
+    assert all(np.array_equal(a, b) for a, b in zip(concurrent, alone))
+
+
+def test_train_concurrently_bit_equal(crowded):
+    # fc1_w is 512 x 1024 here: eight ADAM blocks of 64 rows
+    x, y = toy_dataset(n_per_class=2, size=8)
+    config = TrainConfig(learning_rate=1e-2, batch_size=2, epochs=2, keep_prob=0.5, seed=23)
+
+    def trained():
+        model, trace = train(x, y, config, input_size=8)
+        return b"".join(model.params[name].tobytes() for name in PARAM_ORDER), trace
+
+    (model, trace), (model_alone, trace_alone) = both_ways(crowded, trained)
+    assert model == model_alone
+    assert np.array_equal(trace, trace_alone)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,15 @@ may round differently.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import cellforest
 
 from cellforest.classify import hypothesis_classifier
 from cellforest.cli import main
@@ -85,5 +91,25 @@ def test_two_step_training_pinned(artifacts, tmp_path):
     rc = main(["train", "--dataset", str(artifacts / "ds"), "--model-out", str(model_out),
                "--epochs", "1", "--batch-size", "2", "--seed", "7"])
     assert rc == 0
+    assert sha256(model_out.read_bytes()) == TRAIN_MODEL_SHA256
+    assert sha256((tmp_path / "model.bin.loss.txt").read_bytes()) == TRAIN_LOSS_SHA256
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_two_step_training_pinned_at_each_blas_thread_count(artifacts, tmp_path, threads):
+    # a fresh process, so the thread count OpenBLAS starts with is the one asked for
+    model_out = tmp_path / "model.bin"
+    src = str(Path(cellforest.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys; from cellforest.cli import main; from cellforest.cnn import _openblas; "
+              "blas = _openblas(); print('threads', blas and blas[0]()); sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "train", "--dataset", str(artifacts / "ds"), "--model-out",
+         str(model_out), "--epochs", "1", "--batch-size", "2", "--seed", "7"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] in (f"threads {threads}", "threads None")
     assert sha256(model_out.read_bytes()) == TRAIN_MODEL_SHA256
     assert sha256((tmp_path / "model.bin.loss.txt").read_bytes()) == TRAIN_LOSS_SHA256
