@@ -53,12 +53,6 @@ class ClassProbs:
         if not np.isclose(total, 1.0, atol=1e-6):
             raise ValueError(f"class probabilities must sum to 1, got {total}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_under, self.p_correct, self.p_over])
-
-    def argmax_class(self) -> str:
-        return CLASS_NAMES[int(np.argmax(self.as_array()))]
-
 
 @dataclass
 class Patch:

@@ -275,8 +275,10 @@ def load_forest(path: str) -> MergeForest:
     over leaves 1..K: a node count that disagrees with the node lines
     (e.g. a truncated file), a leaf_map table other than ``k,k`` for
     k = 1..K, leaf ids other than 1..K, children that are unknown, shared
-    with another node or not older than their parent, or a node voxel
-    count that is not the sum of its children's."""
+    with another node or not older than their parent, a node voxel count
+    that is not the sum of its children's, or a merge score outside [0, 1)
+    (``agglomerate`` merges only below 1). A node line without six numeric
+    fields is named by its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("# cellforest merge-forest"):
@@ -295,17 +297,20 @@ def load_forest(path: str) -> MergeForest:
     if len(table) != n_leaves or table != [f"{k},{k}" for k in range(1, n_leaves + 1)]:
         raise ValueError(f"{path}: leaf_map must map each leaf 1..{n_leaves} to itself")
     forest = MergeForest(n_leaves)
-    for ln in body:
+    for lineno, ln in enumerate(body, 3):
         fields = ln.split(",")
-        node_id = int(fields[0])
-        count = int(fields[3])
-        volume = float(fields[4])
-        if fields[1] == "-":
-            forest.add_leaf(node_id, count, volume)
-        else:
-            forest.add_merge(
-                node_id, int(fields[1]), int(fields[2]), count, volume, float(fields[5])
-            )
+        try:
+            if len(fields) != 6:
+                raise ValueError(f"expected 6 comma-separated fields, got {len(fields)}")
+            node_id, count, volume = int(fields[0]), int(fields[3]), float(fields[4])
+            if fields[1] == "-":
+                forest.add_leaf(node_id, count, volume)
+            elif not 0.0 <= (score := float(fields[5])) < 1.0:  # false for nan
+                raise ValueError(f"merge score {fields[5]} is not in [0, 1)")
+            else:
+                forest.add_merge(node_id, int(fields[1]), int(fields[2]), count, volume, score)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     leaves = sorted(n.id for n in forest.nodes.values() if n.is_leaf)
     if len(forest.nodes) != n_nodes or leaves != list(range(1, n_leaves + 1)):
         raise ValueError(f"{path}: node ids are not unique or leaf ids are not 1..{n_leaves}")

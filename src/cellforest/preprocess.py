@@ -149,23 +149,9 @@ def box_filter(data: np.ndarray, boxes, op) -> np.ndarray:
     return out
 
 
-def grayscale_dilate(v: ScalarVolume, radius: int) -> ScalarVolume:
-    """Neighborhood maximum over the discrete ball; borders edge-replicated."""
-    return ScalarVolume(box_filter(v.data, ball_boxes(radius), np.maximum), v.spacing)
-
-
-def grayscale_erode(v: ScalarVolume, radius: int) -> ScalarVolume:
-    """Neighborhood minimum over the discrete ball; borders edge-replicated."""
-    return ScalarVolume(box_filter(v.data, ball_boxes(radius), np.minimum), v.spacing)
-
-
-def closing(v: ScalarVolume, radius: int) -> ScalarVolume:
-    """Grayscale closing: dilation then erosion with the same ball."""
-    return grayscale_erode(grayscale_dilate(v, radius), radius)
-
-
 def iterative_closing(v: ScalarVolume, r_cl_max: int) -> ScalarVolume:
-    """Sequential closings with radii 1..r_cl_max.
+    """Sequential grayscale closings (ball dilation, then erosion with the same ball)
+    with radii 1..r_cl_max.
 
     Growing radii close progressively wider membrane gaps while staying
     more conservative than a single large-radius closing. The result is
@@ -173,8 +159,7 @@ def iterative_closing(v: ScalarVolume, r_cl_max: int) -> ScalarVolume:
     """
     if r_cl_max < 1:
         raise ValueError(f"r_cl_max must be >= 1, got {r_cl_max}")
-    out = v
-    for r in range(1, int(r_cl_max) + 1):
-        out = closing(out, r)
-    return out
-
+    data = v.data
+    for boxes in map(ball_boxes, range(1, int(r_cl_max) + 1)):
+        data = box_filter(box_filter(data, boxes, np.maximum), boxes, np.minimum)
+    return ScalarVolume(data, v.spacing)

@@ -340,9 +340,7 @@ def test_network_numerics_and_training():
     def loss_and_grads(keep_prob):
         def f():
             drop = np.random.default_rng(99) if keep_prob < 1.0 else None
-            logits, cache = forward(
-                model, x, train=keep_prob < 1.0, keep_prob=keep_prob, rng=drop
-            )
+            logits, cache = forward(model, x, keep_prob=keep_prob, rng=drop)
             loss, dlogits = cross_entropy(logits, classes)
             grads = backward(model, cache, dlogits)
             return loss, grads

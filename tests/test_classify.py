@@ -1,5 +1,6 @@
 """Patch extraction and the two hypothesis classifiers."""
 
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -25,14 +26,22 @@ from cellforest.volume import LabelVolume, ScalarVolume
 from oracles import node_patch_reference
 
 
+def as_array(probs):
+    return np.array(astuple(probs))
+
+
+def top_class(probs):
+    return CLASS_NAMES[int(np.argmax(astuple(probs)))]
+
+
 def test_class_names_order():
     assert CLASS_NAMES == ("under", "correct", "over")
 
 
 def test_class_probs_validation_and_argmax():
     p = ClassProbs(0.2, 0.5, 0.3)
-    assert p.argmax_class() == "correct"
-    np.testing.assert_allclose(p.as_array(), [0.2, 0.5, 0.3])
+    assert top_class(p) == "correct"
+    np.testing.assert_allclose(as_array(p), [0.2, 0.5, 0.3])
     with pytest.raises(ValueError):
         ClassProbs(0.2, 0.2, 0.2)
 
@@ -251,24 +260,24 @@ NEUTRAL_VOLUME = (1.0, 1.0, 1e12)
 
 def test_heuristic_flags_bright_central_wall_as_under():
     probs = heuristic_probs(plane_patch(), *NEUTRAL_VOLUME)
-    assert probs.argmax_class() == "under"
+    assert top_class(probs) == "under"
     np.testing.assert_allclose(
-        probs.as_array(), [0.57371445, 0.36581649, 0.06046906], atol=1e-7
+        as_array(probs), [0.57371445, 0.36581649, 0.06046906], atol=1e-7
     )
 
 
 def test_heuristic_prefers_correct_for_dark_interior():
     probs = heuristic_probs(shell_patch(), *NEUTRAL_VOLUME)
-    assert probs.argmax_class() == "correct"
+    assert top_class(probs) == "correct"
     assert probs.p_correct > probs.p_under
     assert probs.p_correct > probs.p_over
 
 
 def test_heuristic_flags_tiny_volume_as_over():
     probs = heuristic_probs(shell_patch(), 1.0, 100.0, 1000.0)
-    assert probs.argmax_class() == "over"
+    assert top_class(probs) == "over"
     np.testing.assert_allclose(
-        probs.as_array(), [0.01314936, 0.1020408, 0.88480984], atol=1e-7
+        as_array(probs), [0.01314936, 0.1020408, 0.88480984], atol=1e-7
     )
 
 
@@ -280,14 +289,14 @@ def test_heuristic_large_volume_raises_under_score():
 
 def test_heuristic_constant_patch_is_correct():
     probs = heuristic_probs(np.full((32, 32, 32), 0.3), *NEUTRAL_VOLUME)
-    assert probs.argmax_class() == "correct"
+    assert top_class(probs) == "correct"
 
 
 def test_heuristic_probabilities_always_valid():
     rng = np.random.default_rng(4)
     for _ in range(10):
         probs = heuristic_probs(rng.random((32, 32, 32)), *NEUTRAL_VOLUME)
-        arr = probs.as_array()
+        arr = as_array(probs)
         assert np.all(arr > 0)
         assert arr.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -303,7 +312,7 @@ def tiny_cnn():
 def test_cnn_probs_valid_distribution():
     model = tiny_cnn()
     probs = cnn_probs(model, np.random.default_rng(6).random((32, 32, 32)))
-    assert probs.as_array().sum() == pytest.approx(1.0, abs=1e-9)
+    assert as_array(probs).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cnn_probs_uniform_for_zero_weights():
@@ -311,7 +320,7 @@ def test_cnn_probs_uniform_for_zero_weights():
     for p in model.params.values():
         p[...] = 0.0
     probs = cnn_probs(model, np.zeros((32, 32, 32)))
-    np.testing.assert_allclose(probs.as_array(), 1.0 / 3.0, atol=1e-12)
+    np.testing.assert_allclose(as_array(probs), 1.0 / 3.0, atol=1e-12)
 
 
 def test_hypothesis_classifier_heuristic_paths():
@@ -321,7 +330,7 @@ def test_hypothesis_classifier_heuristic_paths():
     # the heuristic sees the node's voxels with the background masked
     patch = extract_patch(v, forest, 3, sv, ndi.find_objects(sv.labels), True)
     expect = heuristic_probs(patch.data, forest.nodes[3].volume, 2000.0, 5000.0)
-    assert strict(3).as_array() == pytest.approx(expect.as_array())
+    assert as_array(strict(3)) == pytest.approx(as_array(expect))
     # node volume below v_min pushes the over-segmentation score up
     assert strict(1).p_over > loose(1).p_over
 
@@ -333,4 +342,4 @@ def test_hypothesis_classifier_uses_network_when_given():
     # the network sees the raw context
     patch = extract_patch(v, forest, 2, sv, ndi.find_objects(sv.labels), False)
     expect = cnn_probs(model, patch.data)
-    assert classify(2).as_array() == pytest.approx(expect.as_array(), abs=1e-12)
+    assert as_array(classify(2)) == pytest.approx(as_array(expect), abs=1e-12)

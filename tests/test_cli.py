@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -779,10 +780,17 @@ def voxel_count_off_by_one(lines, n_nodes):
     return lines[: 1 + n_nodes] + [",".join(last)] + lines[2 + n_nodes :]
 
 
+def nan_merge_score(lines, n_nodes):
+    # agglomerate merges only below 1; such a file used to resume with exit 0
+    last = lines[1 + n_nodes].split(",")
+    last[5] = "nan"
+    return lines[: 1 + n_nodes] + [",".join(last)] + lines[2 + n_nodes :]
+
+
 @pytest.mark.parametrize(
     "edit",
     [cut_node_lines, cut_leaf_map, shifted_leaf_map, no_leaf_map_line, unknown_child,
-     leaf_id_outside_range, voxel_count_off_by_one],
+     leaf_id_outside_range, voxel_count_off_by_one, nan_merge_score],
 )
 def test_inconsistent_forest_file_is_io_failure(forest_runs, tmp_path, capsys, edit):
     good = forest_runs[0]
@@ -794,6 +802,23 @@ def test_inconsistent_forest_file_is_io_failure(forest_runs, tmp_path, capsys, e
     rc, _, err = resume(capsys, good, bad, tmp_path / "out")
     assert rc == 3
     assert err.startswith("error [stage io]:")
+    assert not (tmp_path / "out.labels.mvol.json").exists()
+
+
+@pytest.mark.parametrize("fault, message", [("short", "expected 6 comma-separated fields"),
+                                            ("letter", "invalid literal for int()")])
+def test_malformed_forest_node_line_names_file_and_line(forest_runs, tmp_path, capsys, fault,
+                                                         message):
+    # the error used to read "list index out of range" or "invalid literal ...: 'x'" alone
+    good = forest_runs[0]
+    lines = open(f"{good}.forest.txt").read().splitlines()
+    merge = next(i for i in range(2, len(lines)) if lines[i].split(",")[1] != "-")
+    lines[merge] = lines[merge].rsplit(",", 1)[0] if fault == "short" else "x" + lines[merge]
+    bad = tmp_path / "bad.forest.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc, _, err = resume(capsys, good, bad, tmp_path / "out")
+    assert rc == 3
+    assert err.startswith(f"error [stage io]: {bad}:{merge + 1}: {message}")
     assert not (tmp_path / "out.labels.mvol.json").exists()
 
 
@@ -1027,6 +1052,21 @@ def test_cnn_model_of_another_class_count_is_io_error(phantom, tmp_path, capsys)
     assert rc == 3
     assert err.startswith("error [stage io]:")
     assert "4 classes" in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cnn_model_header_without_params_names_file_and_key(phantom, tmp_path, capsys):
+    # the error used to read "'params'" alone
+    path = Path(tiny_cnn(tmp_path / "m.bin"))
+    header, _, payload = path.read_bytes().partition(b"\n")
+    meta = json.loads(header)
+    del meta["params"]
+    path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
+                     str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
+                     *SEG_FLAGS)
+    assert rc == 3
+    assert err.startswith(f"error [stage io]: {path}: header lacks the key 'params'")
     assert not list(tmp_path.glob("out*"))
 
 

@@ -28,7 +28,6 @@ from cellforest.cnn import (
     forward,
     init_model,
     load_model,
-    loss_and_grads,
     maxpool3d_backward,
     maxpool3d_forward,
     mean_cross_entropy,
@@ -281,7 +280,8 @@ def test_gradients_match_finite_differences_every_layer():
     rng = np.random.default_rng(12)
     x = rng.random((2, 4, 4, 4))
     classes = np.array([0, 2])
-    _, grads = loss_and_grads(model, x, classes)
+    logits, cache = forward(model, x)
+    grads = backward(model, cache, cross_entropy(logits, classes)[1])
     for name, param in model.params.items():
         fd = finite_difference_grad(lambda: mean_cross_entropy(model, x, classes), param)
         err = relative_error(np.asarray(grads[name]), fd)
@@ -307,10 +307,10 @@ def test_gradients_with_dropout_mask_applied():
     classes = np.array([1, 0])
 
     def dropped_loss():
-        logits, _ = forward(model, x, train=True, keep_prob=0.6, rng=np.random.default_rng(99))
+        logits, _ = forward(model, x, keep_prob=0.6, rng=np.random.default_rng(99))
         return cross_entropy(logits, classes)[0]
 
-    logits, cache = forward(model, x, train=True, keep_prob=0.6, rng=np.random.default_rng(99))
+    logits, cache = forward(model, x, keep_prob=0.6, rng=np.random.default_rng(99))
     _, dlogits = cross_entropy(logits, classes)
     grads = backward(model, cache, dlogits)
     for name in ("fc1_w", "fc1_b", "out_w", "out_b"):
@@ -322,7 +322,7 @@ def test_gradients_with_dropout_mask_applied():
 def test_dropout_requires_rng_in_training_mode():
     model = small_model()
     with pytest.raises(ValueError):
-        forward(model, np.zeros((1, 4, 4, 4)), train=True, keep_prob=0.5)
+        forward(model, np.zeros((1, 4, 4, 4)), keep_prob=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def test_forward_backward_bits_pinned(size, seed):
     model = init_model(input_size=size, seed=seed)
     rng = np.random.default_rng(seed + 1)
     x = rng.random((3, size, size, size))
-    logits, cache = forward(model, x, train=True, keep_prob=0.6, rng=rng)
+    logits, cache = forward(model, x, keep_prob=0.6, rng=rng)
     _, dlogits = cross_entropy(logits, np.array([0, 1, 2]))
     grads = backward(model, cache, dlogits)
     h = hashlib.sha256(logits.tobytes())
@@ -495,7 +495,7 @@ def toy_dataset(n_per_class=4, size=4, seed=16):
 def test_train_reduces_loss_on_separable_toy_data():
     x, y = toy_dataset()
     config = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=25, keep_prob=1.0, seed=17)
-    model, trace = train(x, y, config, input_size=4)
+    model, trace = train(x, y, config)
     assert trace[0] > 0
     assert trace[-1] < 0.5 * trace[0]
     preds = predict_probs(model, x).argmax(axis=1)
@@ -505,8 +505,8 @@ def test_train_reduces_loss_on_separable_toy_data():
 def test_train_is_bitwise_deterministic():
     x, y = toy_dataset()
     config = TrainConfig(learning_rate=1e-2, batch_size=5, epochs=3, keep_prob=0.5, seed=18)
-    m1, t1 = train(x, y, config, input_size=4)
-    m2, t2 = train(x, y, config, input_size=4)
+    m1, t1 = train(x, y, config)
+    m2, t2 = train(x, y, config)
     np.testing.assert_array_equal(t1, t2)
     for name in m1.params:
         np.testing.assert_array_equal(m1.params[name], m2.params[name])
@@ -517,7 +517,17 @@ def test_train_rejects_missing_class():
     keep = y != 1
     config = TrainConfig(epochs=1)
     with pytest.raises(DatasetError):
-        train(x[keep], y[keep], config, input_size=4)
+        train(x[keep], y[keep], config)
+
+
+def test_train_builds_the_network_for_the_patch_edge():
+    # 8^3 patches without a size argument used to build a 32^3 network that
+    # failed in the fc1 matmul
+    x, y = toy_dataset(n_per_class=1, size=8)
+    model, trace = train(x, y, TrainConfig(batch_size=3, epochs=1, seed=3))
+    assert model.input_size == 8
+    assert model.params["fc1_w"].shape == expected_shapes(8, (32, 64), 1024)["fc1_w"]
+    assert len(trace) == 2 and np.isfinite(trace).all()
 
 
 def test_train_config_validation():
@@ -637,7 +647,7 @@ def test_train_concurrently_bit_equal(crowded):
     config = TrainConfig(learning_rate=1e-2, batch_size=2, epochs=2, keep_prob=0.5, seed=23)
 
     def trained():
-        model, trace = train(x, y, config, input_size=8)
+        model, trace = train(x, y, config)
         return b"".join(model.params[name].tobytes() for name in PARAM_ORDER), trace
 
     (model, trace), (model_alone, trace_alone) = both_ways(crowded, trained)
@@ -751,6 +761,21 @@ def test_load_model_rejects_unknown_parameter(tmp_path):
 
     bad = rewrite_header(path, tmp_path / "unknown.model", rename)
     with pytest.raises(ValueError, match="unknown parameter 'conv0_w'"):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("key", ["params", "input_size", "seed"])
+def test_load_model_names_a_missing_header_key(tmp_path, key):
+    # a header without "params" used to fail with "'params'" alone
+    path = tmp_path / "net.model"
+    save_model(small_model(seed=28), path)
+
+    def drop(meta, payload):
+        del meta[key]
+        return payload
+
+    bad = rewrite_header(path, tmp_path / "nokey.model", drop)
+    with pytest.raises(ValueError, match=f"nokey.model: header lacks the key '{key}'"):
         load_model(bad)
 
 

@@ -441,6 +441,13 @@ def test_load_forest_rejects_garbage(tmp_path):
         (["3,1,3,5,5.0,0.5"], "reused children"),  # its own child: a cycle
         (["3,1,2,5,5.0,0.5", "3,1,2,5,5.0,0.5"], "not unique"),
         (["3,1,2,6,6.0,0.5"], "children's sum"),
+        (["3,1,2,5,5.0,0.0"], None),  # the lowest score agglomerate can give
+        (["3,1,2,5,5.0,nan"], r"f.forest.txt:5: merge score nan is not in \[0, 1\)"),
+        (["3,1,2,5,5.0,1.0"], r"merge score 1.0 is not in \[0, 1\)"),
+        (["3,1,2,5,5.0,-0.5"], r"merge score -0.5 is not in \[0, 1\)"),
+        (["3,1,2,5,5.0,inf"], r"merge score inf is not in \[0, 1\)"),
+        (["3,1,2,5,5.0"], "f.forest.txt:5: expected 6 comma-separated fields, got 5"),
+        (["3,1,two,5,5.0,0.5"], "f.forest.txt:5: invalid literal for int"),
     ],
 )
 def test_load_forest_rejects_inconsistent_structure(tmp_path, merges, message):

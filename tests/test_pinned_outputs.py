@@ -17,6 +17,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +82,7 @@ def test_cnn_recut_outputs_pinned(artifacts, tmp_path):
     for model, pinned in ((init_model(seed=5), RECUT_PROBS_SHA256),
                           (None, RECUT_HEURISTIC_PROBS_SHA256)):
         classify = hypothesis_classifier(pre, forest, sv, MergeParams(3000.0, 16000.0), model)
-        probs = np.array([classify(n).as_array() for n in sorted(forest.nodes)])
+        probs = np.array([astuple(classify(n)) for n in sorted(forest.nodes)])
         assert sha256(probs.astype("<f8").tobytes()) == pinned
 
 
