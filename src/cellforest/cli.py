@@ -15,15 +15,15 @@ module's names, which ``perfbench/tracing.py`` wraps to time them. Only
 the volume bounds (v_min / v_max, or r_min to derive v_min) are
 mandatory; everything else takes the library's defaults
 (:class:`PreprocessParams`, :class:`PhantomParams`, :class:`TrainConfig`,
-whose fields are the ``synth`` and ``train`` flags), so no option declares
-a default of its own. A ``key = value`` config file
+whose fields are the ``segment``, ``synth`` and ``train`` flags), so no
+option declares a default of its own. A ``key = value`` config file
 (``--config``) holds ``segment`` options: each line is turned into a
 ``segment`` argument (``input`` into the positional) and parsed ahead of
 the command line, so an explicit flag wins and a bad value fails alike
 from either source.
 
-Exit codes: 0 success, 2 bad configuration (a bad option value too), 3
-I/O failure, 4 stage failure; errors name the stage that failed.
+Errors name the stage that failed, which gives the exit code: 2 for ``config``
+(a bad option value too), 3 for ``io`` and 4 for any other stage.
 """
 
 from __future__ import annotations
@@ -56,25 +56,25 @@ from .watershed import find_local_minima, seeded_watershed
 
 
 class CliError(Exception):
-    def __init__(self, stage: str, code: int, message: str):
+    def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
-        self.code = code
+        self.code = {"config": 2, "io": 3}.get(stage, 4)
 
 
 @contextmanager
-def stage(name: str, code: int = 4):
+def stage(name: str):
     """Convert any failure inside the block into a named-stage exit."""
     try:
         yield
     except CliError:
         raise
     except FileNotFoundError as exc:
-        raise CliError("io", 3, str(exc)) from exc
+        raise CliError("io", str(exc)) from exc
     except DatasetError as exc:
-        raise CliError("data", 4, str(exc)) from exc
+        raise CliError("data", str(exc)) from exc
     except Exception as exc:
-        raise CliError(name, code, str(exc)) from exc
+        raise CliError(name, str(exc)) from exc
 
 
 def _triple(text: str, cast=float) -> tuple:
@@ -114,7 +114,7 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
     argv = []
     for key, value in load_config(args.config).items():
         if key not in keys:
-            raise CliError("config", 2, f"unknown config key {key!r}")
+            raise CliError("config", f"unknown config key {key!r}")
         if key == "input":
             if args.input is None:  # an input on the command line wins
                 argv.insert(0, value)
@@ -127,7 +127,8 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
 
 def _add_fields(parser: argparse.ArgumentParser, params: type) -> None:
     """One ``--field-name`` flag per field of the dataclass ``params``, typed by the
-    field's default; a tuple field is text, one value or x,y,z, which the command parses."""
+    field's default; a tuple field is text, one value or x,y,z, which :func:`_given` parses
+    with :func:`_triple` as the type of the default's elements."""
     for f in fields(params):
         text = isinstance(f.default, tuple)
         parser.add_argument(f"--{f.name.replace('_', '-')}", type=str if text else type(f.default),
@@ -135,24 +136,25 @@ def _add_fields(parser: argparse.ArgumentParser, params: type) -> None:
 
 
 def _given(args: argparse.Namespace, params: type) -> dict:
-    """The fields of the dataclass ``params`` that the command line set."""
-    names = {f.name for f in fields(params)}
-    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+    """The fields of the dataclass ``params`` that the command line set; see :func:`_add_fields`."""
+    values = [(f, getattr(args, f.name)) for f in fields(params)]
+    return {f.name: _triple(v, type(f.default[0])) if isinstance(f.default, tuple) else v
+            for f, v in values if v is not None}
 
 
 def _read_scalar(path: str) -> ScalarVolume:
     vol = read_volume(path)
     if not isinstance(vol, ScalarVolume):
-        raise CliError("data", 4, f"{path}: expected a scalar volume, found labels")
+        raise CliError("data", f"{path}: expected a scalar volume, found labels")
     if not np.isfinite(vol.data).all():
-        raise CliError("data", 4, f"{path}: intensities must be finite (found NaN or inf)")
+        raise CliError("data", f"{path}: intensities must be finite (found NaN or inf)")
     return vol
 
 
 def _read_labels(path: str) -> LabelVolume:
     vol = read_volume(path)
     if not isinstance(vol, LabelVolume):
-        raise CliError("data", 4, f"{path}: expected a label volume (u32 payload)")
+        raise CliError("data", f"{path}: expected a label volume (u32 payload)")
     return vol
 
 
@@ -183,14 +185,14 @@ def segment(
     and a given forest must match their leaf voxel counts and voxel volume. Failures raise
     :class:`CliError` naming the stage."""
     if classifier not in CLASSIFIERS:
-        raise CliError("config", 2, f"unknown classifier {classifier!r}")
+        raise CliError("config", f"unknown classifier {classifier!r}")
     if classifier == "cnn" and not model_path:
-        raise CliError("config", 2, "classifier cnn requires a model path (--model-path)")
-    with stage("io", 3):
+        raise CliError("config", "classifier cnn requires a model path (--model-path)")
+    with stage("io"):
         model = load_model(model_path) if classifier == "cnn" else None
     if model is not None and model.input_size != PATCH_SIZE:
-        raise CliError("data", 4, f"{model_path}: the model takes {model.input_size}^3 "
-                                  f"patches, not {PATCH_SIZE}^3")
+        raise CliError("data", f"{model_path}: the model takes {model.input_size}^3 "
+                               f"patches, not {PATCH_SIZE}^3")
     if pre is None:
         pre_params = pre_params or PreprocessParams()
         with stage("preprocess"):
@@ -198,13 +200,13 @@ def segment(
                 gaussian_smooth(normalize(volume), pre_params.sigma), pre_params.r_cl_max
             )
     elif not 0.0 <= pre.data.min() <= pre.data.max() <= 1.0:
-        raise CliError("data", 4, "preprocessed intensities must lie in [0, 1]")
+        raise CliError("data", "preprocessed intensities must lie in [0, 1]")
     if sv is None:
         with stage("watershed"):
             sv = seeded_watershed(pre, find_local_minima(pre))
     elif sv.labels.shape != pre.data.shape or sv.spacing != pre.spacing:
-        raise CliError("data", 4, f"supervoxels {sv.dims} at {sv.spacing} um do not match "
-                                  f"the preprocessed volume {pre.dims} at {pre.spacing} um")
+        raise CliError("data", f"supervoxels {sv.dims} at {sv.spacing} um do not match "
+                               f"the preprocessed volume {pre.dims} at {pre.spacing} um")
     if forest is None:
         with stage("merge"):
             forest = agglomerate(build_region_graph(sv, pre), params)
@@ -233,25 +235,24 @@ def segment(
 def cmd_segment(args: argparse.Namespace) -> int:
     classifier = args.classifier or "none"
     if not args.output_prefix:
-        raise CliError("config", 2, "--output-prefix is required")
+        raise CliError("config", "--output-prefix is required")
     if args.v_min_um3 is None and args.r_min_um is None:
-        raise CliError("config", 2, "need --v-min-um3 or --r-min-um")
+        raise CliError("config", "need --v-min-um3 or --r-min-um")
     if args.v_max_um3 is None:
-        raise CliError("config", 2, "need --v-max-um3")
-    with stage("config", 2):
+        raise CliError("config", "need --v-max-um3")
+    with stage("config"):
         v_min = args.v_min_um3 if args.v_min_um3 is not None else v_min_from_radius(args.r_min_um)
-        given = {"sigma": _triple(args.sigma) if args.sigma else None, "r_cl_max": args.r_cl_max}
         params = MergeParams(v_min=v_min, v_max=args.v_max_um3)
-        pre_params = PreprocessParams(**{k: v for k, v in given.items() if v is not None})
+        pre_params = PreprocessParams(**_given(args, PreprocessParams))
 
     if args.supervoxels_in and not args.preprocessed_in:
-        raise CliError("config", 2, "--supervoxels-in requires --preprocessed-in")
+        raise CliError("config", "--supervoxels-in requires --preprocessed-in")
     if args.forest_in and not args.supervoxels_in:
-        raise CliError("config", 2, "--forest-in requires --supervoxels-in")
+        raise CliError("config", "--forest-in requires --supervoxels-in")
     if not (args.input or args.preprocessed_in):
-        raise CliError("config", 2, "need an input volume or a stage artifact to resume from")
+        raise CliError("config", "need an input volume or a stage artifact to resume from")
 
-    with stage("io", 3):
+    with stage("io"):
         pre = _read_scalar(args.preprocessed_in) if args.preprocessed_in else None
         raw = _read_scalar(args.input) if pre is None else None
         sv = _read_labels(args.supervoxels_in) if args.supervoxels_in else None
@@ -259,7 +260,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     run = segment(raw, params, pre_params, classifier, args.model_path, pre, sv, forest)
 
     prefix = args.output_prefix
-    with stage("io", 3):
+    with stage("io"):
         if args.dump_stages and pre is None:
             write_volume(run.pre, f"{prefix}.pre.mvol.json")
         if args.dump_stages and sv is None:
@@ -275,25 +276,20 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    with stage("config", 2):
-        given = _given(args, PhantomParams)
-        if args.dims is not None:
-            given["dims"] = _triple(args.dims, int)
-        if args.spacing is not None:
-            given["spacing"] = _triple(args.spacing)
-        params = PhantomParams(**given)
+    with stage("config"):
+        params = PhantomParams(**_given(args, PhantomParams))
         counts = {} if args.patches_per_class is None else {"per_class": args.patches_per_class}
         if counts.get("per_class", 1) < 1:
             raise ValueError(f"--patches-per-class must be >= 1, got {args.patches_per_class}")
     with stage("synth"):
         v, gt = generate_phantom(params)
-    with stage("io", 3):
+    with stage("io"):
         write_volume(v, f"{args.output_prefix}.image.mvol.json")
         write_volume(gt, f"{args.output_prefix}.truth.mvol.json")
     if args.patches_dir:
         with stage("synth"):
             patches, classes = generate_patch_dataset(params, v, gt, **counts)
-        with stage("io", 3):
+        with stage("io"):
             save_patch_dataset(args.patches_dir, patches, classes)
         print(f"wrote {len(patches)} patches to {args.patches_dir}")
     print(f"wrote {args.output_prefix}.image.mvol.json and .truth.mvol.json")
@@ -301,13 +297,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    with stage("config", 2):
+    with stage("config"):
         config = TrainConfig(**_given(args, TrainConfig))
-    with stage("io", 3):
+    with stage("io"):
         x, classes = load_patch_dataset(args.dataset)
     with stage("train"):
         model, trace = train(x, classes, config)
-    with stage("io", 3):
+    with stage("io"):
         save_model(model, args.model_out)
         with open(f"{args.model_out}.loss.txt", "w") as fh:
             fh.writelines(f"{float(v)!r}\n" for v in trace)
@@ -316,9 +312,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    with stage("config", 2):
+    with stage("config"):
         background = _int_set(args.background or "")
-    with stage("io", 3):
+    with stage("io"):
         pred = _read_labels(args.pred)
         truth = _read_labels(args.truth)
         mask = _read_labels(args.layer_mask) if args.layer_mask else None
@@ -332,7 +328,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ]
     print(format_table(rows), end="")
     if args.json_out:
-        with stage("io", 3):
+        with stage("io"):
             with open(args.json_out, "w") as fh:
                 fh.writelines(report_json(name, rep) + "\n" for name, rep in rows)
     return 0
@@ -352,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-min-um3", type=float, help="minimum cell volume (um^3)")
     p.add_argument("--v-max-um3", type=float, help="maximum cell volume (um^3)")
     p.add_argument("--r-min-um", type=float, help="derive v_min from a minimum radius (um)")
-    p.add_argument("--sigma", help="Gaussian sigma in voxels, one value or x,y,z")
-    p.add_argument("--r-cl-max", type=int, help="largest closing radius (voxels)")
+    _add_fields(p, PreprocessParams)
     p.add_argument("--classifier", choices=CLASSIFIERS,
                    help="under-segmentation correction (default none)")
     p.add_argument("--model-path", help="trained model file for --classifier cnn")
@@ -391,7 +386,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        with stage("config", 2):
+        with stage("config"):
             args = parser.parse_args(argv)
             if getattr(args, "config", None):  # the file's lines go ahead of the flags
                 at = argv.index("segment") + 1

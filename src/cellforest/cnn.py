@@ -157,9 +157,10 @@ def cross_entropy(logits: np.ndarray, classes: np.ndarray):
     """Mean cross-entropy and its gradient w.r.t. the logits."""
     n = logits.shape[0]
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    loss = float(np.mean(log_z - shifted[np.arange(n), classes]))
-    dlogits = softmax(logits)
+    e = np.exp(shifted)
+    z = e.sum(axis=-1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), classes]))
+    dlogits = e / z  # the softmax
     dlogits[np.arange(n), classes] -= 1.0
     return loss, dlogits / n
 
@@ -496,13 +497,20 @@ def load_model(path: str) -> CnnModel:
     """Read a model file, each tensor straight into its own array."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "cellforest-cnn v1":
+        if not isinstance(header, dict) or header.get("format") != "cellforest-cnn v1":
             raise ValueError(f"{path}: not a cellforest model file")
         for key in ("input_size", "conv_channels", "fc_units", "kernel_size", "seed", "params"):
             if key not in header:
                 raise ValueError(f"{path}: header lacks the key {key!r}")
         if (n := header.get("n_classes")) != N_CLASSES:
             raise ValueError(f"{path}: header gives {n} classes, not {N_CLASSES}")
+        if not isinstance(header["params"], list):
+            raise ValueError(f"{path}: header params is not a list")
+        for i, e in enumerate(header["params"]):
+            if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                    and isinstance(e.get("shape"), list)):
+                raise ValueError(f"{path}: params entry {i} ({json.dumps(e)}) is not an object "
+                                 "with a name and a list shape")
         names = [entry["name"] for entry in header["params"]]
         for name in dict.fromkeys([*names, *PARAM_ORDER]):
             if name not in PARAM_ORDER:

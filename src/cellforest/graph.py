@@ -38,12 +38,6 @@ class BoundaryStats:
     def mean_intensity(self) -> float:
         return self.pair_intensity_sum / self.pair_count
 
-    def merged_with(self, other: "BoundaryStats") -> "BoundaryStats":
-        return BoundaryStats(
-            self.pair_count + other.pair_count,
-            self.pair_intensity_sum + other.pair_intensity_sum,
-        )
-
 
 def _edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
@@ -72,9 +66,6 @@ class RegionGraph:
         except KeyError:
             raise KeyError(f"no edge between regions {i} and {j}") from None
 
-    def neighbors(self, i: int) -> set[int]:
-        return self.adj[i]
-
     def add_node(self, i: int, stats: RegionStats) -> None:
         self.nodes[i] = stats
         self.adj.setdefault(i, set())
@@ -83,8 +74,8 @@ class RegionGraph:
         """Fuse regions i and j into ``merged_id``; returns the fused stats.
 
         Region stats add; parallel edges to a common neighbor add
-        componentwise. The fused volume is recomputed from the voxel count
-        so it stays bit-equal to a from-scratch rebuild.
+        componentwise, i's edge then j's. The fused volume is recomputed
+        from the voxel count so it stays bit-equal to a from-scratch rebuild.
         """
         si = self.nodes.pop(i)
         sj = self.nodes.pop(j)
@@ -93,13 +84,13 @@ class RegionGraph:
 
         neighbors = (self.adj[i] | self.adj[j]) - {i, j}
         for k in neighbors:
-            parts = []
+            combined = BoundaryStats(0, 0.0)
             for old in (i, j):
                 bs = self.edges.pop(_edge_key(old, k), None)
                 if bs is not None:
-                    parts.append(bs)
+                    combined.pair_count += bs.pair_count
+                    combined.pair_intensity_sum += bs.pair_intensity_sum
                     self.adj[k].discard(old)
-            combined = parts[0] if len(parts) == 1 else parts[0].merged_with(parts[1])
             self.edges[_edge_key(merged_id, k)] = combined
             self.adj[k].add(merged_id)
         self.edges.pop(_edge_key(i, j), None)
@@ -118,6 +109,14 @@ def face_pairs(labels: np.ndarray):
         lower = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
         upper = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
         yield lower, upper, labels[lower] != labels[upper]
+
+
+def pair_keys(labels: np.ndarray, base: int):
+    """:func:`face_pairs` plus, per axis, the key ``min * base + max`` (int64) of
+    each differing pair's two labels; ``base`` must exceed every label."""
+    for lower, upper, differ in face_pairs(labels):
+        la, lb = labels[lower][differ].astype(np.int64), labels[upper][differ].astype(np.int64)
+        yield lower, upper, differ, np.minimum(la, lb) * base + np.maximum(la, lb)
 
 
 def build_region_graph(lv: LabelVolume, v: ScalarVolume) -> RegionGraph:
@@ -149,9 +148,8 @@ def build_region_graph(lv: LabelVolume, v: ScalarVolume) -> RegionGraph:
         graph.add_node(i, RegionStats(c, c * graph.voxel_volume, s))
 
     keys, vals = [], []
-    for lower, upper, differ in face_pairs(labels):
-        la, lb = labels[lower][differ].astype(np.int64), labels[upper][differ].astype(np.int64)
-        keys.append(np.minimum(la, lb) * (k + 1) + np.maximum(la, lb))
+    for lower, upper, differ, pair_key in pair_keys(labels, k + 1):
+        keys.append(pair_key)
         vals.append(0.5 * (values[lower][differ] + values[upper][differ]))
     uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     pair_counts = np.bincount(inverse)

@@ -12,6 +12,7 @@ initial supervoxels.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -90,7 +91,7 @@ def feature_boundary(i: int, j: int, graph: RegionGraph, params: MergeParams) ->
     outer_pairs = 0
     outer_sum = 0.0
     for a, other in ((i, j), (j, i)):
-        for k in graph.neighbors(a):
+        for k in graph.adj[a]:
             if k == other:
                 continue
             ext = graph.edge(a, k)
@@ -215,7 +216,7 @@ def agglomerate(
         next_id += 1
         fused = graph.merge_nodes(i, j, merged_id)
         forest.add_merge(merged_id, i, j, fused.voxel_count, fused.volume, score)
-        for k in sorted(graph.neighbors(merged_id)):
+        for k in sorted(graph.adj[merged_id]):
             heapq.heappush(heap, (feature_sort(k, merged_id, graph, params), k, merged_id))
         if observer is not None:
             observer(graph, forest, merged_id)
@@ -249,80 +250,68 @@ def forest_to_labels(
     return LabelVolume(mapping[supervoxels.labels], supervoxels.spacing)
 
 
-def save_forest(forest: MergeForest, path: str) -> None:
-    """Write the newline-delimited forest format.
+def _forest_lines(forest: MergeForest) -> list[str]:
+    """The forest file's lines, each with its newline: the ``v1`` header, the
+    node and leaf counts, one ``id,child_a,child_b,voxel_count,volume_um3,merge_score``
+    record per node in id order ('-' for a leaf's children and score, floats as
+    ``repr`` writes them, which round-trips exactly), then the leaf to
+    supervoxel-label table."""
+    lines = ["# cellforest merge-forest v1\n",
+             f"nodes {len(forest.nodes)} leaves {forest.n_leaves}\n"]
+    for node_id in sorted(forest.nodes):
+        n = forest.nodes[node_id]
+        ca, cb = n.children if n.children else ("-", "-")
+        score = repr(n.merge_score) if n.merge_score is not None else "-"
+        lines.append(f"{n.id},{ca},{cb},{n.voxel_count},{n.volume!r},{score}\n")
+    lines.append("leaf_map\n")
+    lines.extend(f"{leaf},{leaf}\n" for leaf in range(1, forest.n_leaves + 1))
+    return lines
 
-    One ``id,child_a,child_b,voxel_count,volume_um3,merge_score`` record
-    per node ('-' for absent children/scores), followed by the leaf to
-    supervoxel-label table. Floats are written with full round-trip
-    precision.
-    """
+
+def save_forest(forest: MergeForest, path: str) -> None:
+    """Write the newline-delimited forest format of :func:`_forest_lines`."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# cellforest merge-forest v1\n")
-        fh.write(f"nodes {len(forest.nodes)} leaves {forest.n_leaves}\n")
-        for node_id in sorted(forest.nodes):
-            n = forest.nodes[node_id]
-            ca, cb = n.children if n.children else ("-", "-")
-            score = repr(n.merge_score) if n.merge_score is not None else "-"
-            fh.write(f"{n.id},{ca},{cb},{n.voxel_count},{n.volume!r},{score}\n")
-        fh.write("leaf_map\n")
-        for leaf in range(1, forest.n_leaves + 1):
-            fh.write(f"{leaf},{leaf}\n")
+        fh.writelines(_forest_lines(forest))
 
 
 def load_forest(path: str) -> MergeForest:
-    """Read a forest file, rejecting one that does not describe a forest
-    over leaves 1..K: a node count that disagrees with the node lines
-    (e.g. a truncated file), a leaf_map table other than ``k,k`` for
-    k = 1..K, leaf ids other than 1..K, children that are unknown, shared
-    with another node or not older than their parent, a node voxel count
-    that is not the sum of its children's, or a merge score outside [0, 1)
-    (``agglomerate`` merges only below 1). A node line without six numeric
-    fields is named by its line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("# cellforest merge-forest"):
-        raise ValueError(f"{path}: not a merge-forest file")
-    head = lines[1].split() if len(lines) > 1 else []
-    if len(head) != 4 or head[0] != "nodes" or head[2] != "leaves":
-        raise ValueError(f"{path}: malformed count line {' '.join(head)!r}")
-    n_nodes = int(head[1])
-    n_leaves = int(head[3])
-    if "leaf_map" not in lines:
-        raise ValueError(f"{path}: no leaf_map line")
-    split = lines.index("leaf_map")
-    body, table = lines[2:split], lines[split + 1 :]
-    if len(body) != n_nodes:
-        raise ValueError(f"{path}: header says {n_nodes} nodes, file has {len(body)} node lines")
-    if len(table) != n_leaves or table != [f"{k},{k}" for k in range(1, n_leaves + 1)]:
-        raise ValueError(f"{path}: leaf_map must map each leaf 1..{n_leaves} to itself")
-    forest = MergeForest(n_leaves)
-    for lineno, ln in enumerate(body, 3):
-        fields = ln.split(",")
+    """Read a forest file, accepting only what :func:`save_forest` writes: node lines
+    (line 3 up to ``leaf_map``) over leaves 1..K whose children are known, older than
+    their parent and unshared, whose voxel counts are their children's sums and whose
+    merge scores lie in [0, 1) (``agglomerate`` merges only below 1), in a file equal,
+    line for line, to what :func:`_forest_lines` renders for them. Errors name the file
+    and, where there is one, the line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    end = lines.index("leaf_map\n") if "leaf_map\n" in lines else len(lines)
+    forest, has_parent = MergeForest(0), set()
+    for lineno, ln in enumerate(lines[2:end], 3):
+        fields = ln.rstrip("\n").split(",")
         try:
             if len(fields) != 6:
                 raise ValueError(f"expected 6 comma-separated fields, got {len(fields)}")
             node_id, count, volume = int(fields[0]), int(fields[3]), float(fields[4])
             if fields[1] == "-":
                 forest.add_leaf(node_id, count, volume)
-            elif not 0.0 <= (score := float(fields[5])) < 1.0:  # false for nan
+                continue
+            a, b = int(fields[1]), int(fields[2])
+            if a == b or max(a, b) >= node_id or {a, b} & has_parent or {a, b} - forest.nodes.keys():
+                raise ValueError(f"node {node_id} has unknown or reused children {(a, b)}")
+            if count != forest.nodes[a].voxel_count + forest.nodes[b].voxel_count:
+                raise ValueError(f"node {node_id} voxel count is not its children's sum")
+            if not 0.0 <= (score := float(fields[5])) < 1.0:  # false for nan
                 raise ValueError(f"merge score {fields[5]} is not in [0, 1)")
-            else:
-                forest.add_merge(node_id, int(fields[1]), int(fields[2]), count, volume, score)
+            forest.add_merge(node_id, a, b, count, volume, score)
+            has_parent.update((a, b))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     leaves = sorted(n.id for n in forest.nodes.values() if n.is_leaf)
-    if len(forest.nodes) != n_nodes or leaves != list(range(1, n_leaves + 1)):
-        raise ValueError(f"{path}: node ids are not unique or leaf ids are not 1..{n_leaves}")
-    has_parent = set()
-    for n in forest.nodes.values():
-        if n.children:
-            a, b = n.children
-            known = {a, b} <= forest.nodes.keys()
-            if a == b or max(a, b) >= n.id or {a, b} & has_parent or not known:
-                raise ValueError(f"{path}: node {n.id} has unknown or reused children {(a, b)}")
-            if n.voxel_count != sum(forest.nodes[c].voxel_count for c in n.children):
-                raise ValueError(f"{path}: node {n.id} voxel count is not its children's sum")
-            has_parent.update(n.children)
+    forest.n_leaves = len(leaves)
+    if leaves != list(range(1, forest.n_leaves + 1)):
+        raise ValueError(f"{path}: leaf ids are not 1..{forest.n_leaves}")
+    for lineno, (want, got) in enumerate(itertools.zip_longest(_forest_lines(forest), lines), 1):
+        if want != got:
+            raise ValueError(f"{path}:{lineno}: expected {want!r}" if want else
+                             f"{path}:{lineno}: expected the end of the file")
     forest.roots = sorted(set(forest.nodes) - has_parent)
     return forest

@@ -24,7 +24,7 @@ from scipy import ndimage as ndi
 
 from .classify import CLASS_NAMES, Patch, crop_patch
 from .cnn import DatasetError
-from .graph import face_pairs
+from .graph import face_pairs, pair_keys
 from .preprocess import ball_offsets, gaussian_smooth
 from .volume import LabelVolume, ScalarVolume, _check_spacing, read_volume, write_volume
 
@@ -164,11 +164,7 @@ def generate_phantom(params: PhantomParams) -> tuple[ScalarVolume, LabelVolume]:
 def _touching_pairs(labels: np.ndarray) -> list[tuple[int, int]]:
     """Sorted unique (lower, higher) label pairs that share a voxel face."""
     base = int(labels.max(initial=0)) + 1
-    keys = []
-    for lower, upper, differ in face_pairs(labels):
-        lo, hi = labels[lower][differ].astype(np.int64), labels[upper][differ]
-        keys.append(np.minimum(lo, hi) * base + np.maximum(lo, hi))
-    keys = np.unique(np.concatenate(keys))
+    keys = np.unique(np.concatenate([key for *_, key in pair_keys(labels, base)]))
     return list(zip((keys // base).tolist(), (keys % base).tolist()))
 
 

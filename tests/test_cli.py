@@ -23,6 +23,7 @@ from cellforest.cnn import TrainConfig
 from cellforest.merging import MergeParams, load_forest
 from cellforest.metrics import match_segments
 from cellforest.phantom import PhantomParams, generate_phantom
+from cellforest.preprocess import PreprocessParams
 from cellforest.volume import LabelVolume, ScalarVolume, read_volume, write_volume
 
 
@@ -187,14 +188,16 @@ def test_synth_with_patches_renders_the_phantom_once(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize(
     "option, value",
-    [("sigma", "-1"), ("sigma", "nan"), ("sigma", "1,inf,1"), ("r-cl-max", "0")],
+    [("sigma", "-1"), ("sigma", "nan"), ("sigma", "1,inf,1"), ("r-cl-max", "0"),
+     ("sigma", "")],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_bad_preprocess_parameters_is_config_failure(
     phantom, tmp_path, capsys, option, value, source
 ):
     # a negative or non-finite sigma used to skip smoothing on that axis
-    # silently (exit 0), and --r-cl-max 0 failed later in stage preprocess
+    # silently (exit 0), an empty one was ignored, and --r-cl-max 0 failed
+    # later in stage preprocess
     extra = [f"--{option}", value]
     if source == "config":
         cfg = tmp_path / "run.cfg"
@@ -260,6 +263,9 @@ def test_synth_defaults_are_phantom_params_defaults(tmp_path, capsys):
 FIELD_COMMANDS = [
     ("synth", PhantomParams, ["--output-prefix"], {"--patches-dir", "--patches-per-class"}),
     ("train", TrainConfig, ["--dataset", "--model-out"], set()),
+    ("segment", PreprocessParams, ["--output-prefix", "--v-min-um3", "--v-max-um3"],
+     {"--config", "--r-min-um", "--classifier", "--model-path", "--dump-stages",
+      "--preprocessed-in", "--supervoxels-in", "--forest-in"}),
 ]
 
 
@@ -281,7 +287,8 @@ def test_synth_and_train_flags_are_the_parameter_fields(command, params, require
 )
 def test_unparsable_field_flag_is_config_failure(tmp_path, capsys, command, flag):
     required = {"synth": ["--output-prefix", str(tmp_path / "p")],
-                "train": ["--dataset", str(tmp_path / "ds"), "--model-out", str(tmp_path / "m")]}
+                "train": ["--dataset", str(tmp_path / "ds"), "--model-out", str(tmp_path / "m")],
+                "segment": ["--output-prefix", str(tmp_path / "out"), *SEG_FLAGS]}
     rc, _, err = run(capsys, command, *required[command], flag, "x")
     assert rc == 2
     assert err.startswith("error [stage config]:")
@@ -1067,6 +1074,26 @@ def test_cnn_model_header_without_params_names_file_and_key(phantom, tmp_path, c
                      *SEG_FLAGS)
     assert rc == 3
     assert err.startswith(f"error [stage io]: {path}: header lacks the key 'params'")
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("fault", ["list header", "entry without shape"])
+def test_malformed_cnn_model_header_is_io_failure(phantom, tmp_path, capsys, fault):
+    # the error used to read "'list' object has no attribute 'get'" or "'shape'" alone
+    path = Path(tiny_cnn(tmp_path / "m.bin"))
+    header, _, payload = path.read_bytes().partition(b"\n")
+    meta = json.loads(header)
+    if fault == "list header":
+        meta, message = [meta], "not a cellforest model file"
+    else:
+        del meta["params"][0]["shape"]
+        message = "params entry 0"
+    path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
+                     str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
+                     *SEG_FLAGS)
+    assert rc == 3
+    assert err.startswith(f"error [stage io]: {path}: {message}")
     assert not list(tmp_path.glob("out*"))
 
 

@@ -779,6 +779,53 @@ def test_load_model_names_a_missing_header_key(tmp_path, key):
         load_model(bad)
 
 
+def header_is_a_list(meta):
+    return ["cellforest-cnn v1"]
+
+
+def entry_without_shape(meta):
+    del meta["params"][2]["shape"]
+
+
+def entry_shape_not_a_list(meta):
+    meta["params"][0]["shape"] = 5
+
+
+def entry_not_an_object(meta):
+    meta["params"][1] = "conv1_b"
+
+
+def entry_without_name(meta):
+    del meta["params"][3]["name"]
+
+
+def params_not_a_list(meta):
+    meta["params"] = meta["params"][0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (header_is_a_list, "not a cellforest model file"),
+    (entry_without_shape, r'params entry 2 \({"name": "conv2_w"}\) is not an object with a name'),
+    (entry_shape_not_a_list, "params entry 0 .* is not an object with a name and a list shape"),
+    (entry_not_an_object, r'params entry 1 \("conv1_b"\) is not an object'),
+    (entry_without_name, "params entry 3 .* is not an object with a name"),
+    (params_not_a_list, "header params is not a list"),
+])
+def test_load_model_names_a_malformed_header(tmp_path, edit, message):
+    # these used to fail with "'list' object has no attribute 'get'", a bare
+    # "'shape'" or another error that named neither the file nor the entry
+    import json
+
+    path = tmp_path / "net.model"
+    save_model(small_model(seed=29), path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    meta = json.loads(header)
+    meta = edit(meta) or meta
+    (tmp_path / "bad.model").write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match=f"bad.model: {message}"):
+        load_model(tmp_path / "bad.model")
+
+
 def test_load_model_rejects_over_long_payload(tmp_path):
     path = tmp_path / "net.model"
     save_model(small_model(seed=26), path)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellforest.graph import (
     BoundaryStats,
@@ -439,7 +441,7 @@ def test_load_forest_rejects_garbage(tmp_path):
         (["3,1,1,4,4.0,0.5"], "reused children"),  # one child twice
         (["3,1,2,5,5.0,0.5", "4,1,2,5,5.0,0.5"], "reused children"),  # shared
         (["3,1,3,5,5.0,0.5"], "reused children"),  # its own child: a cycle
-        (["3,1,2,5,5.0,0.5", "3,1,2,5,5.0,0.5"], "not unique"),
+        (["3,1,2,5,5.0,0.5", "3,1,2,5,5.0,0.5"], "f.forest.txt:6: node 3 has unknown or reused"),
         (["3,1,2,6,6.0,0.5"], "children's sum"),
         (["3,1,2,5,5.0,0.0"], None),  # the lowest score agglomerate can give
         (["3,1,2,5,5.0,nan"], r"f.forest.txt:5: merge score nan is not in \[0, 1\)"),
@@ -465,11 +467,12 @@ def test_load_forest_rejects_inconsistent_structure(tmp_path, merges, message):
 @pytest.mark.parametrize(
     "table,message",
     [
-        (["1,1"], "to itself"),  # one leaf short
-        (["1,8", "2,9"], "to itself"),  # a shifted map
-        (["2,2", "1,1"], "to itself"),  # out of order
-        (None, "no leaf_map line"),
+        (["1,1"], r"f.forest.txt:7: expected '2,2\\n'"),
+        (["1,8", "2,9"], r"f.forest.txt:6: expected '1,1\\n'"),
+        (["2,2", "1,1"], r"f.forest.txt:6: expected '1,1\\n'"),
+        (None, r"f.forest.txt:5: expected 'leaf_map\\n'"),
     ],
+    ids=["one leaf short", "shifted map", "out of order", "no leaf_map line"],
 )
 def test_load_forest_requires_the_identity_leaf_map(tmp_path, table, message):
     lines = ["# cellforest merge-forest v1", "nodes 2 leaves 2", "1,-,-,2,2.0,-", "2,-,-,3,3.0,-"]
@@ -478,3 +481,47 @@ def test_load_forest_requires_the_identity_leaf_map(tmp_path, table, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         load_forest(path)
+
+
+SMALL_FOREST = ["# cellforest merge-forest v1", "nodes 5 leaves 3", "1,-,-,2,2.0,-",
+                "2,-,-,3,3.0,-", "3,-,-,1,1.0,-", "4,1,2,5,5.0,0.25", "5,3,4,6,6.0,0.5",
+                "leaf_map", "1,1", "2,2", "3,3"]
+TOKEN_POOL = ["-", "0", "1", "7", "2", "2.0", "+2", "0.5", "nan", "x", ""]
+
+
+@st.composite
+def one_edit(draw):
+    """SMALL_FOREST with one field or header token replaced from TOKEN_POOL, or one
+    line dropped, duplicated or swapped with another."""
+    lines = list(SMALL_FOREST)
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["replace", "drop", "duplicate", "swap"]))
+    if kind == "replace":
+        sep = "," if "," in lines[i] else " "
+        tokens = lines[i].split(sep)
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKEN_POOL))
+        lines[i] = sep.join(tokens)
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_edit())
+def test_load_forest_accepts_only_what_save_forest_writes(tmp_path_factory, lines):
+    # "1,-,7,2,2.0,0.3", "2" for "2.0", "+2" for "2" or a header other than v1 used
+    # to load, and save_forest then wrote a different file
+    path = tmp_path_factory.mktemp("edit") / "f.forest.txt"
+    path.write_text("".join(f"{ln}\n" for ln in lines))
+    try:
+        forest = load_forest(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+        return
+    save_forest(forest, path.parent / "again.forest.txt")
+    assert (path.parent / "again.forest.txt").read_bytes() == path.read_bytes()
