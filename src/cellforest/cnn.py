@@ -519,6 +519,13 @@ def load_model(path: str) -> CnnModel:
                 raise ValueError(
                     f"{path}: header lists parameter {name!r} {names.count(name)} times, not once"
                 )
+        shapes = expected_shapes(header["input_size"], tuple(header["conv_channels"]),
+                                 header["fc_units"], header["kernel_size"])
+        for i, e in enumerate(header["params"]):  # before any tensor is allocated
+            want = list(shapes[e["name"]])
+            if e["shape"] != want or not all(type(d) is int and d >= 0 for d in e["shape"]):
+                raise ValueError(f"{path}: params entry {i} ({e['name']}) has shape "
+                                 f"{e['shape']}, not {want} as the header's architecture gives")
         params = {}
         for entry in header["params"]:
             arr = params[entry["name"]] = np.empty(tuple(entry["shape"]), dtype="<f8")

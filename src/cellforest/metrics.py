@@ -52,25 +52,22 @@ def match_segments(
         raise ValueError(
             f"dims mismatch: pred {pred.labels.shape} vs truth {truth.labels.shape}"
         )
-    t = truth.labels.ravel()
-    p = pred.labels.ravel()
-    mask = t != 0
-    for bg in background_truth_labels:
-        mask &= t != bg
-    t = t[mask].astype(np.int64)
-    p = p[mask].astype(np.int64)
-    if t.size == 0:
+    # one int64 (pred, truth) key per voxel, sorted in place; truth background sorts first as -1
+    t, t_span = truth.labels.ravel(), int(truth.labels.max(initial=0)) + 1
+    keys = np.multiply(pred.labels.ravel(), t_span, dtype=np.int64)
+    keys += t
+    for bg in {0, *background_truth_labels}:
+        np.copyto(keys, -1, where=t == bg)
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 0) :]
+    if keys.size == 0:
         return _finish([], 0, 0, 0)
 
-    truth_sizes = np.bincount(t)
-    pred_sizes = np.bincount(p)
-    n_truth = int(np.count_nonzero(truth_sizes[1:])) if len(truth_sizes) > 1 else 0
-    n_pred = int(np.count_nonzero(pred_sizes[1:])) if len(pred_sizes) > 1 else 0
-
-    t_span = len(truth_sizes)
-    keys, inter = np.unique(p * t_span + t, return_counts=True)
-    pk = keys // t_span
-    tk = keys % t_span
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    inter = np.diff(np.r_[starts, keys.size])
+    pk, tk = np.divmod(keys[starts], t_span)
+    pred_sizes, truth_sizes = np.bincount(pk, inter), np.bincount(tk, inter)  # exact float counts
+    n_truth, n_pred = int(np.count_nonzero(truth_sizes)), int(np.count_nonzero(pred_sizes[1:]))
 
     matches = []
     for pi, ti, n in zip(pk, tk, inter):

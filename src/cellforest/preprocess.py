@@ -8,12 +8,11 @@ gaps in bright membranes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -105,42 +104,50 @@ def _window(spans, axis, e, op, pad, alloc) -> np.ndarray:
 
 
 def _filter_chunks(a, zs, out, boxes, op, pad, bufs) -> None:
-    """``op`` over the boxes into ``out[z0 : z0 + _CHUNK]`` for each z0 in ``zs``: a window
-    per axis, z first, over ``a`` read with a halo of ``pad``. Chunks reuse ``bufs``."""
+    """``op`` over the sorted boxes into ``out[z0 : z0 + _CHUNK]`` for each z0 in ``zs``,
+    over ``a`` read with a halo of ``pad``. Each box takes its windows depth first (z, y,
+    then x) and is folded into the chunk when done, so only one box prefix's windows live:
+    ``levels[k]`` holds the window over the first k axes and its runs. The i-th live array
+    is a view of ``bufs[i]``; only the dry run grows ``bufs``."""
 
-    def alloc(shape):  # a chunk's i-th buffer is bufs[i]
-        i, size = next(used), math.prod(shape)
-        if i == len(bufs):
-            bufs.append(np.empty(size))
+    def alloc(shape):
+        i, size = sum(map(len, levels)), math.prod(shape)
+        bufs.extend([np.empty(0)] * (i + 1 - len(bufs)))
+        bufs[i] = bufs[i] if bufs[i].size >= size else np.empty(size)
         return bufs[i][:size].reshape(shape)
 
     nz, ny, nx = a.shape
     for z0 in zs:
-        used, part = itertools.count(), out[z0 : z0 + _CHUNK]
+        part, levels = out[z0 : z0 + _CHUNK], []
         lo, hi = max(z0 - pad, 0), min(z0 + len(part) + pad, nz)
         start, block = lo - z0 + pad, alloc((len(part) + 2 * pad, ny + 2 * pad, nx + 2 * pad))
         block[start : start + hi - lo, pad : pad + ny, pad : pad + nx] = a[lo:hi]
         for axis, (s, n) in enumerate(((start, hi - lo), (pad, ny), (pad, nx))):
             block[_ax(axis, None, s)] = block[_ax(axis, s, s + 1)]
             block[_ax(axis, s + n)] = block[_ax(axis, s + n - 1, s + n)]
-        runs = {(): [block]}  # by the windows taken so far, shared by boxes that agree on them
-        for b, axis in itertools.product(boxes, range(3)):
-            if b[: axis + 1] not in runs:
-                runs[b[: axis + 1]] = [_window(runs[b[:axis]], axis, b[axis], op, pad, alloc)]
-        part[...] = reduce(partial(op, out=part), [runs[b][0] for b in boxes])  # copy if one box
+        levels.append([block])
+        for b, prev in zip(boxes, [(-1,) * 3] + boxes):
+            del levels[next(k for k in range(3) if b[k] != prev[k]) + 1 :]
+            for axis in range(len(levels) - 1, 3):
+                levels.append([_window(levels[axis], axis, b[axis], op, pad, alloc)])
+            w = levels.pop()[0]
+            np.copyto(part, w) if b is boxes[0] else op(part, w, out=part)
 
 
-def box_filter(data: np.ndarray, boxes, op) -> np.ndarray:
+def box_filter(data: np.ndarray, boxes, op, out=None) -> np.ndarray:
     """``op`` (np.maximum or np.minimum) over the union of the centred boxes [-cz, cz] x
-    [-cy, cy] x [-cx, cx], borders edge-replicated: for finite data, ``ndi.grey_dilation``
-    or ``grey_erosion`` with ``mode="nearest"`` byte for byte, except that numpy returns the
+    [-cy, cy] x [-cx, cx], borders edge-replicated, into ``out`` (a new array if None),
+    which must not share memory with ``data``. For finite data, ``ndi.grey_dilation`` or
+    ``grey_erosion`` with ``mode="nearest"`` byte for byte, except that numpy returns the
     second operand where +0.0 and -0.0 tie (``normalize`` never yields -0.0). Runs in
     ``_CHUNK``-slice z-chunks on a thread per usable CPU; threads do not change the result."""
+    if out is not None and np.shares_memory(out, data):
+        raise ValueError("box_filter: out shares memory with the input")
     a = np.ascontiguousarray(data, dtype=np.float64)
-    out, nz, pad = np.empty_like(a), a.shape[0], int(np.max(boxes))
-    boxes, chunks = [tuple(b) for b in np.asarray(boxes).tolist()], iter(range(0, nz, _CHUNK))
-    # A dry run of the first chunk (an op that computes nothing) sizes the scratch here,
-    # so that the memory, freed after the call, serves this thread's later arrays.
+    out, nz, pad = np.empty_like(a) if out is None else out, a.shape[0], int(np.max(boxes))
+    boxes, chunks = sorted(set(map(tuple, np.asarray(boxes).tolist()))), iter(range(0, nz, _CHUNK))
+    # A dry run of the first chunk (an op that computes nothing) sizes the buffers here: no
+    # worker allocates, and the memory, freed after the call, serves this thread's later arrays.
     _filter_chunks(a, [0], out, boxes, lambda p, q, out: out, pad, first := [])
     workers = min(len(os.sched_getaffinity(0)), len(range(0, nz, _CHUNK)))
     scratch = [first] + [list(map(np.empty_like, first)) for _ in range(workers - 1)]
@@ -159,7 +166,7 @@ def iterative_closing(v: ScalarVolume, r_cl_max: int) -> ScalarVolume:
     """
     if r_cl_max < 1:
         raise ValueError(f"r_cl_max must be >= 1, got {r_cl_max}")
-    data = v.data
-    for boxes in map(ball_boxes, range(1, int(r_cl_max) + 1)):
-        data = box_filter(box_filter(data, boxes, np.maximum), boxes, np.minimum)
+    data, dilated, closed = v.data, np.empty(v.data.shape), np.empty(v.data.shape)
+    for boxes in map(ball_boxes, range(1, int(r_cl_max) + 1)):  # dilate, erode into the other
+        data = box_filter(box_filter(data, boxes, np.maximum, dilated), boxes, np.minimum, closed)
     return ScalarVolume(data, v.spacing)

@@ -1,7 +1,9 @@
-"""Consistency auditors shared between module tests and the acceptance
-suite. Unlike oracles.py these reuse package code deliberately: they
-compare two routes through the library against each other (incremental
-statistics vs a from-scratch rebuild)."""
+"""Consistency auditors and measurements shared between module tests and
+the acceptance suite. Unlike oracles.py these reuse package code
+deliberately: they compare two routes through the library against each
+other (incremental statistics vs a from-scratch rebuild)."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -53,3 +55,16 @@ def assert_incremental_stats_match(graph, supervoxels, values, leaf_of=None):
 def forest_leaf_lookup(forest):
     """leaf_of callable for assert_incremental_stats_match."""
     return forest.leaves_under
+
+
+def peak_bytes_per_voxel(call, voxels):
+    """The tracemalloc peak of ``call()`` above what was traced before it, per
+    voxel; the result counts while the call holds it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / voxels

@@ -1077,17 +1077,25 @@ def test_cnn_model_header_without_params_names_file_and_key(phantom, tmp_path, c
     assert not list(tmp_path.glob("out*"))
 
 
-@pytest.mark.parametrize("fault", ["list header", "entry without shape"])
+BAD_SHAPES = {"string shape": (0, ["a"]), "negative shape": (1, [-1]), "8 TiB shape": (4, [2**40])}
+
+
+@pytest.mark.parametrize("fault", ["list header", "entry without shape", *BAD_SHAPES])
 def test_malformed_cnn_model_header_is_io_failure(phantom, tmp_path, capsys, fault):
-    # the error used to read "'list' object has no attribute 'get'" or "'shape'" alone
+    # the error used to read "'list' object has no attribute 'get'" or "'shape'" alone;
+    # the bad shapes named neither file nor entry, and 8 TiB was a MemoryError
     path = Path(tiny_cnn(tmp_path / "m.bin"))
     header, _, payload = path.read_bytes().partition(b"\n")
     meta = json.loads(header)
     if fault == "list header":
         meta, message = [meta], "not a cellforest model file"
-    else:
+    elif fault == "entry without shape":
         del meta["params"][0]["shape"]
         message = "params entry 0"
+    else:
+        i, shape = BAD_SHAPES[fault]
+        meta["params"][i]["shape"] = shape
+        message = f"params entry {i} ({meta['params'][i]['name']}) has shape {shape}, not "
     path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
     rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
                      str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),

@@ -803,6 +803,20 @@ def params_not_a_list(meta):
     meta["params"] = meta["params"][0]
 
 
+# shapes that failed with a bare TypeError, numpy's "negative dimensions are not
+# allowed" and a MemoryError for 8 TiB: each is now refused before any allocation
+def entry_shape_of_a_string(meta):
+    meta["params"][0]["shape"] = ["a"]
+
+
+def entry_shape_negative(meta):
+    meta["params"][1]["shape"] = [-1]
+
+
+def entry_shape_of_8_tib(meta):
+    meta["params"][4]["shape"] = [2**40]
+
+
 @pytest.mark.parametrize("edit, message", [
     (header_is_a_list, "not a cellforest model file"),
     (entry_without_shape, r'params entry 2 \({"name": "conv2_w"}\) is not an object with a name'),
@@ -810,6 +824,9 @@ def params_not_a_list(meta):
     (entry_not_an_object, r'params entry 1 \("conv1_b"\) is not an object'),
     (entry_without_name, "params entry 3 .* is not an object with a name"),
     (params_not_a_list, "header params is not a list"),
+    (entry_shape_of_a_string, r"params entry 0 \(conv1_w\) has shape \['a'\], not \[3, 3, 3, 1, 2\]"),
+    (entry_shape_negative, r"params entry 1 \(conv1_b\) has shape \[-1\], not \[2\]"),
+    (entry_shape_of_8_tib, r"params entry 4 \(fc1_w\) has shape \[1099511627776\], not \[3, 5\]"),
 ])
 def test_load_model_names_a_malformed_header(tmp_path, edit, message):
     # these used to fail with "'list' object has no attribute 'get'", a bare

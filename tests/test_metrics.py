@@ -13,7 +13,9 @@ from cellforest.metrics import (
     report_json,
 )
 from cellforest.volume import LabelVolume
+from cellforest.watershed import seeded_watershed
 
+from checks import peak_bytes_per_voxel
 from oracles import match_reference
 
 
@@ -116,6 +118,42 @@ def test_matches_against_counting_reference():
         assert r.recall == pytest.approx(recall)
         assert r.f_score == pytest.approx(f)
         assert sorted((m[0], m[1]) for m in r.matches) == sorted(matches)
+
+
+@pytest.mark.parametrize(
+    "background", [frozenset(), frozenset({1}), frozenset({2, 4}), frozenset({9}), frozenset({1, 2, 3, 4})]
+)
+def test_matches_equal_reference_with_background_and_pred_zero(background):
+    # predictions that mostly follow the truth, with label 0 on about a third
+    # of the voxels; truth 0 and the background labels are never scored
+    rng = np.random.default_rng(sorted(background) + [7])
+    for _ in range(8):
+        truth = rng.integers(0, 5, size=(6, 5, 4))
+        pred = np.where(rng.random(truth.shape) < 0.7, truth, rng.integers(0, 7, truth.shape))
+        pred[rng.random(truth.shape) < 0.33] = 0
+        r = match_segments(lv(pred), lv(truth), background)
+        got = (r.matches, r.tp, r.fp, r.fn, r.precision, r.recall, r.f_score)
+        assert got == match_reference(pred, truth, background)
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_match_segments_leaves_label_arrays_unchanged(dtype):
+    rng = np.random.default_rng(5)
+    truth = rng.integers(0, 5, size=(5, 6, 7)).astype(dtype)
+    pred = rng.integers(0, 5, size=(5, 6, 7)).astype(dtype)
+    before = pred.copy(), truth.copy()
+    match_segments(LabelVolume(pred), LabelVolume(truth), frozenset({2}))
+    assert pred.dtype == truth.dtype == dtype
+    assert pred.tobytes() == before[0].tobytes() and truth.tobytes() == before[1].tobytes()
+
+
+def test_match_segments_peak_memory_per_voxel(segment_96):
+    # one int64 key per voxel, sorted in place, and a byte per voxel for a
+    # mask; masked copies of both volumes and np.unique took 35 bytes per voxel
+    s = segment_96
+    pred = LabelVolume(seeded_watershed(s.pre, s.minima).labels.astype(np.uint32), s.truth.spacing)
+    per_voxel = peak_bytes_per_voxel(lambda: match_segments(pred, s.truth), pred.labels.size)
+    assert per_voxel <= 16, f"match_segments peak {per_voxel:.1f} bytes per voxel"
 
 
 def test_matches_are_one_to_one():

@@ -20,6 +20,7 @@ from cellforest.preprocess import (
 )
 from cellforest.volume import ScalarVolume, normalize
 
+from checks import peak_bytes_per_voxel
 from oracles import ball_ndi_reference, blur_reference, closing_ndi_reference, morph_reference
 
 def ball_to_offsets(radius):
@@ -246,6 +247,49 @@ def test_box_filter_independent_of_chunk_height_and_threads(monkeypatch, chunk, 
     finally:
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(cube, ndi.grey_erosion(data, size=3, mode="nearest"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(morph_volumes(), st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_box_filter_independent_of_box_order(data, boxes, rnd):
+    # boxes are taken sorted and once each, depth first; on data without -0.0
+    # any order, repeats included, gives the footprint filter's bytes
+    given_order = boxes + rnd.sample(boxes, rnd.randint(0, len(boxes)))
+    rnd.shuffle(given_order)
+    p = max(map(max, boxes))
+    footprint = np.zeros((2 * p + 1,) * 3, dtype=bool)
+    for cz, cy, cx in boxes:
+        footprint[p - cz : p + cz + 1, p - cy : p + cy + 1, p - cx : p + cx + 1] = True
+    for morph, ref in ((np.maximum, ndi.grey_dilation), (np.minimum, ndi.grey_erosion)):
+        out = box_filter(data, given_order, morph)
+        assert out.tobytes() == ref(data, footprint=footprint, mode="nearest").tobytes()
+
+
+def test_box_filter_writes_into_out_that_shares_no_memory_with_its_input():
+    rng = np.random.default_rng(17)
+    data, wide = rng.random((6, 5, 4)), rng.random((12, 5, 4))
+    boxes = ball_boxes(1)
+    for src, out in ((data, data), (data, data[::-1]), (data, data.reshape(6, 20).reshape(6, 5, 4)),
+                     (wide[:6], wide[3:9])):
+        with pytest.raises(ValueError, match="out shares memory with the input"):
+            box_filter(src, boxes, np.maximum, out=out)
+    before = data.copy()
+    out = np.empty_like(data)
+    assert box_filter(data, boxes, np.maximum, out=out) is out
+    assert out.tobytes() == box_filter(before, boxes, np.maximum).tobytes()
+    np.testing.assert_array_equal(data, before)
+
+
+def test_closing_peak_memory_per_voxel(segment_96, monkeypatch):
+    # two work volumes (16 bytes per voxel) plus each worker's chunk buffers,
+    # which hold one box prefix's windows (about 4.6 bytes per voxel here, so
+    # the CPU count is fixed). Three volumes and every box's windows at once
+    # took 46 bytes per voxel.
+    monkeypatch.setattr(pp.os, "sched_getaffinity", lambda pid: {0, 1})
+    smoothed = segment_96.smoothed
+    per_voxel = peak_bytes_per_voxel(lambda: iterative_closing(smoothed, 3), smoothed.data.size)
+    assert per_voxel <= 26, f"closing peak {per_voxel:.1f} bytes per voxel"
 
 
 def test_signed_zero_ties_follow_numpy_operand_order():

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +8,11 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage as ndi
 
 from cellforest.phantom import PhantomParams, generate_phantom
-from cellforest.preprocess import PreprocessParams, gaussian_smooth, iterative_closing
-from cellforest.volume import ScalarVolume, normalize
+from cellforest.preprocess import gaussian_smooth, iterative_closing
+from cellforest.volume import ScalarVolume
 from cellforest.watershed import MinimaSet, find_local_minima, seeded_watershed
 
+from checks import peak_bytes_per_voxel
 from oracles import (
     flood_heap_reference,
     flood_reference,
@@ -208,26 +208,10 @@ def test_watershed_labels_pinned_on_preprocessed_phantom():
     assert digest == "4582f83fd335bf72b9b0afc3a75fbdcc4c6760ae8d07ee90305c0b341600651f"
 
 
-@pytest.fixture(scope="module")
-def segment_96():
-    """The benchmark's segment_96 input (phantom seed 1), preprocessed as
-    ``segment`` does, and its minima."""
-    img, _ = generate_phantom(
-        PhantomParams(
-            dims=(96, 96, 96), n_cells=90, membrane_width=2, attenuation=0.99,
-            noise_sigma=0.05, blur_sigma=0.6, seed=1,
-        )
-    )
-    p = PreprocessParams()
-    pre = iterative_closing(gaussian_smooth(normalize(img), p.sigma), p.r_cl_max)
-    return pre, find_local_minima(pre)
-
-
 def test_watershed_labels_pinned_on_segment_96_phantom(segment_96):
     # recorded with the flood that ranked by np.unique and held 62 bytes
     # per voxel; the CLI writes the same supervoxels for this phantom
-    pre, m = segment_96
-    labels = seeded_watershed(pre, m).labels
+    labels = seeded_watershed(segment_96.pre, segment_96.minima).labels
     digest = hashlib.sha256(labels.astype("<i4").tobytes()).hexdigest()
     assert digest == "0a7e4b6ede63d1e3b4d845bc92b129ee3530b67374de71c07fb18493401bfd91"
 
@@ -235,15 +219,8 @@ def test_watershed_labels_pinned_on_segment_96_phantom(segment_96):
 def test_watershed_peak_memory_per_voxel(segment_96):
     # the flood's working arrays above its inputs, output included; it was
     # 62 bytes per voxel before the int32 ranks, blocked passes and early frees
-    pre, m = segment_96
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        seeded_watershed(pre, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    per_voxel = (peak - before) / pre.data.size
+    pre, m = segment_96.pre, segment_96.minima
+    per_voxel = peak_bytes_per_voxel(lambda: seeded_watershed(pre, m), pre.data.size)
     assert per_voxel <= 24, f"flood peak {per_voxel:.1f} bytes per voxel"
 
 
