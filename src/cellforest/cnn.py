@@ -16,12 +16,14 @@ not depend on that or on the BLAS thread count.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -472,72 +474,71 @@ def train(
 # model file I/O: one JSON header line, then raw little-endian float64 payload
 
 
+_ARCH = ("input_size", "conv_channels", "fc_units", "kernel_size", "seed")  # header order
+
+
+def _model_header(input_size, conv_channels, fc_units, kernel_size, seed) -> bytes:
+    """The model file's header line for this architecture, as ``json.dumps`` writes it."""
+    shapes = expected_shapes(input_size, conv_channels, fc_units, kernel_size)
+    return json.dumps({
+        "format": "cellforest-cnn v1", "input_size": input_size,
+        "conv_channels": list(conv_channels), "fc_units": fc_units, "n_classes": N_CLASSES,
+        "kernel_size": kernel_size, "seed": seed, "precision": "f64",
+        "params": [{"name": name, "shape": list(shapes[name])} for name in PARAM_ORDER],
+    }).encode() + b"\n"
+
+
 def save_model(model: CnnModel, path: str) -> None:
-    header = {
-        "format": "cellforest-cnn v1",
-        "input_size": model.input_size,
-        "conv_channels": list(model.conv_channels),
-        "fc_units": model.fc_units,
-        "n_classes": N_CLASSES,
-        "kernel_size": model.kernel_size,
-        "seed": model.seed,
-        "precision": "f64",
-        "params": [
-            {"name": name, "shape": list(model.params[name].shape)} for name in PARAM_ORDER
-        ],
-    }
+    """Write :func:`_model_header`'s line, then each tensor as little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
+        fh.write(_model_header(*(getattr(model, key) for key in _ARCH)))
         for name in PARAM_ORDER:  # each tensor's own buffer, not a bytes copy
             fh.write(np.ascontiguousarray(model.params[name], dtype="<f8"))
 
 
+def _leaves(value, at=""):
+    """(key path, JSON) of each value of a header parsed with objects as tuples of pairs."""
+    if isinstance(value, tuple):
+        for key, v in value:
+            yield from _leaves(v, f"{at}.{key}" if at else key)
+    elif isinstance(value, list) and any(isinstance(v, (tuple, list)) for v in value):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{at}[{i}]")
+    else:
+        yield at, json.dumps(value)
+
+
 def load_model(path: str) -> CnnModel:
-    """Read a model file, each tensor straight into its own array."""
+    """Read a model file, accepting only what :func:`save_model` writes. The header is checked
+    before any tensor is allocated; errors name the file and the first differing key path."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if not isinstance(header, dict) or header.get("format") != "cellforest-cnn v1":
-            raise ValueError(f"{path}: not a cellforest model file")
-        for key in ("input_size", "conv_channels", "fc_units", "kernel_size", "seed", "params"):
-            if key not in header:
-                raise ValueError(f"{path}: header lacks the key {key!r}")
-        if (n := header.get("n_classes")) != N_CLASSES:
-            raise ValueError(f"{path}: header gives {n} classes, not {N_CLASSES}")
-        if not isinstance(header["params"], list):
-            raise ValueError(f"{path}: header params is not a list")
-        for i, e in enumerate(header["params"]):
-            if not (isinstance(e, dict) and isinstance(e.get("name"), str)
-                    and isinstance(e.get("shape"), list)):
-                raise ValueError(f"{path}: params entry {i} ({json.dumps(e)}) is not an object "
-                                 "with a name and a list shape")
-        names = [entry["name"] for entry in header["params"]]
-        for name in dict.fromkeys([*names, *PARAM_ORDER]):
-            if name not in PARAM_ORDER:
-                raise ValueError(f"{path}: unknown parameter {name!r} in header")
-            if names.count(name) != 1:
-                raise ValueError(
-                    f"{path}: header lists parameter {name!r} {names.count(name)} times, not once"
-                )
-        shapes = expected_shapes(header["input_size"], tuple(header["conv_channels"]),
-                                 header["fc_units"], header["kernel_size"])
-        for i, e in enumerate(header["params"]):  # before any tensor is allocated
-            want = list(shapes[e["name"]])
-            if e["shape"] != want or not all(type(d) is int and d >= 0 for d in e["shape"]):
-                raise ValueError(f"{path}: params entry {i} ({e['name']}) has shape "
-                                 f"{e['shape']}, not {want} as the header's architecture gives")
-        params = {}
-        for entry in header["params"]:
-            arr = params[entry["name"]] = np.empty(tuple(entry["shape"]), dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:
-                raise ValueError(f"{path}: payload length mismatch")
-        if fh.read(1):
+        line = fh.readline()
+        header = None
+        with contextlib.suppress(ValueError, RecursionError):  # not UTF-8 or not JSON
+            header = json.loads(line.decode("utf-8"), object_pairs_hook=tuple)  # keeps key order
+        keys = dict(header) if isinstance(header, tuple) else {}
+        try:
+            if keys.get("format") != "cellforest-cnn v1":
+                raise ValueError("not a cellforest model file")
+            for key in _ARCH:  # JSON ints (a bool is none), positive but for the seed
+                n, least = (2, 1) if key == "conv_channels" else (1, 0 if key == "seed" else 1)
+                ints = keys.get(key) if n == 2 else [keys.get(key)]
+                if not (type(ints) is list and len(ints) == n
+                        and all(type(i) is int and i >= least for i in ints)):
+                    shown = json.dumps(keys[key]) if key in keys else "missing"
+                    rule = "a list of two integers" if n == 2 else "an integer"
+                    raise ValueError(f"header key {key!r} is {shown}, not {rule} >= {least}")
+            arch = [keys[key] for key in _ARCH]
+            want = _model_header(*arch)  # expected_shapes: an input size divisible by 4
+            if line != want:  # name the first differing value, else the spacing is off
+                for w, got in zip_longest(_leaves(json.loads(want, object_pairs_hook=tuple)),
+                                          _leaves(header), fillvalue=("", "nothing")):
+                    if w != got:
+                        raise ValueError(f"header {w[0] or got[0]}: expected {w[1]}")
+                raise ValueError(f"header: expected {want.decode()!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        params = {e["name"]: np.empty(e["shape"], dtype="<f8") for e in map(dict, keys["params"])}
+        if any(fh.readinto(arr) != arr.nbytes for arr in params.values()) or fh.read(1):
             raise ValueError(f"{path}: payload length mismatch")
-    return CnnModel(
-        header["input_size"],
-        tuple(header["conv_channels"]),
-        header["fc_units"],
-        header["kernel_size"],
-        header["seed"],
-        params,
-    )
+    return CnnModel(arch[0], tuple(arch[1]), *arch[2:], params)

@@ -131,31 +131,30 @@ def read_volume(path: str) -> Volume:
     with open(header_path, "rb") as fh:
         try:
             header = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, or not UTF-8 text
             raise VolumeFormatError(f"{header_path}: invalid JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise VolumeFormatError(f"{header_path}: header must be a JSON object")
     for key in ("dims", "spacing", "dtype", "data"):
         if key not in header:
             raise VolumeFormatError(f"{header_path}: missing header key {key!r}")
-    dims = header["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or not all(isinstance(d, int) and d > 0 for d in dims)
-    ):
-        raise VolumeFormatError(f"{header_path}: dims must be three positive integers")
+    dims, spacing, code, data = header["dims"], header["spacing"], header["dtype"], header["data"]
+    if not (type(dims) is list and len(dims) == 3 and all(type(d) is int and d > 0 for d in dims)):
+        raise VolumeFormatError(f"{header_path}: dims must be three positive integers, got {dims!r}")
+    if not (type(spacing) is list and all(type(c) in (int, float) for c in spacing)):
+        raise VolumeFormatError(f"{header_path}: spacing must be a list of numbers, got {spacing!r}")
     try:
-        spacing = _check_spacing(header["spacing"])
-    except (ValueError, TypeError) as exc:
+        spacing = _check_spacing(spacing)
+    except (ValueError, OverflowError) as exc:
         raise VolumeFormatError(f"{header_path}: bad spacing: {exc}") from exc
-    code = header["dtype"]
-    if code not in _DTYPE_CODES:
+    if type(code) is not str or code not in _DTYPE_CODES:
         raise VolumeFormatError(f"{header_path}: unsupported dtype {code!r}")
+    if type(data) is not str:
+        raise VolumeFormatError(f"{header_path}: data must be a file name, got {data!r}")
     dtype = _DTYPE_CODES[code]
 
     nx, ny, nz = dims
-    data_path = os.path.join(os.path.dirname(header_path), header["data"])
+    data_path = os.path.join(os.path.dirname(header_path), data)
     raw = np.fromfile(data_path, dtype=dtype)
     expected = nx * ny * nz
     if raw.size != expected:

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -25,6 +26,7 @@ from cellforest.metrics import match_segments
 from cellforest.phantom import PhantomParams, generate_phantom
 from cellforest.preprocess import PreprocessParams
 from cellforest.volume import LabelVolume, ScalarVolume, read_volume, write_volume
+from test_volume import MISTYPED_HEADER_VALUES
 
 
 def run(capsys, *argv):
@@ -1057,8 +1059,7 @@ def test_cnn_model_of_another_class_count_is_io_error(phantom, tmp_path, capsys)
                      str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
                      *SEG_FLAGS)
     assert rc == 3
-    assert err.startswith("error [stage io]:")
-    assert "4 classes" in err
+    assert err.startswith(f"error [stage io]: {path}: header n_classes: expected 3")
     assert not list(tmp_path.glob("out*"))
 
 
@@ -1073,17 +1074,19 @@ def test_cnn_model_header_without_params_names_file_and_key(phantom, tmp_path, c
                      str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
                      *SEG_FLAGS)
     assert rc == 3
-    assert err.startswith(f"error [stage io]: {path}: header lacks the key 'params'")
+    assert err.startswith(f'error [stage io]: {path}: header params[0].name: expected "conv1_w"')
     assert not list(tmp_path.glob("out*"))
 
 
 BAD_SHAPES = {"string shape": (0, ["a"]), "negative shape": (1, [-1]), "8 TiB shape": (4, [2**40])}
 
 
-@pytest.mark.parametrize("fault", ["list header", "entry without shape", *BAD_SHAPES])
+@pytest.mark.parametrize("fault", ["list header", "entry without shape", *BAD_SHAPES,
+                                   "precision f32", "raw payload"])
 def test_malformed_cnn_model_header_is_io_failure(phantom, tmp_path, capsys, fault):
     # the error used to read "'list' object has no attribute 'get'" or "'shape'" alone;
-    # the bad shapes named neither file nor entry, and 8 TiB was a MemoryError
+    # the bad shapes named neither file nor entry, and 8 TiB was a MemoryError; precision
+    # f32 ran and exited 0, and a volume payload failed with a bare UnicodeDecodeError
     path = Path(tiny_cnn(tmp_path / "m.bin"))
     header, _, payload = path.read_bytes().partition(b"\n")
     meta = json.loads(header)
@@ -1091,17 +1094,42 @@ def test_malformed_cnn_model_header_is_io_failure(phantom, tmp_path, capsys, fau
         meta, message = [meta], "not a cellforest model file"
     elif fault == "entry without shape":
         del meta["params"][0]["shape"]
-        message = "params entry 0"
+        message = "header params[0].shape: expected [5, 5, 5, 1, 2]"
+    elif fault == "precision f32":
+        meta["precision"], message = "f32", 'header precision: expected "f64"'
+    elif fault == "raw payload":
+        meta, message = None, "not a cellforest model file"
     else:
         i, shape = BAD_SHAPES[fault]
         meta["params"][i]["shape"] = shape
-        message = f"params entry {i} ({meta['params'][i]['name']}) has shape {shape}, not "
-    path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+        message = f"header params[{i}].shape: expected "
+    path.write_bytes(Path(f"{phantom}.image.raw").read_bytes() if meta is None
+                     else json.dumps(meta).encode() + b"\n" + payload)
     rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
                      str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
                      *SEG_FLAGS)
     assert rc == 3
     assert err.startswith(f"error [stage io]: {path}: {message}")
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("fault", [*MISTYPED_HEADER_VALUES, "binary header"])
+def test_mistyped_volume_header_is_io_failure(phantom, tmp_path, capsys, fault):
+    # two spacings ran as (1, 2, 3) and exited 0; the others exited 3 with a bare
+    # error (TypeError, OverflowError, UnicodeDecodeError) naming neither header nor key
+    shutil.copy(f"{phantom}.image.raw", tmp_path)
+    path = tmp_path / "in.mvol.json"
+    if fault == "binary header":
+        path.write_bytes(bytes(range(128, 256)))
+        key = "invalid JSON header"
+    else:
+        key, value = MISTYPED_HEADER_VALUES[fault]
+        header = json.loads(Path(f"{phantom}.image.mvol.json").read_text())
+        path.write_text(json.dumps({**header, key: value}))
+    rc, _, err = run(capsys, "segment", str(path), "--output-prefix", str(tmp_path / "out"),
+                     *SEG_FLAGS)
+    assert rc == 3
+    assert err.startswith(f"error [stage io]: {path}: ") and key in err
     assert not list(tmp_path.glob("out*"))
 
 

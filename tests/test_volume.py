@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,39 @@ def test_read_rejects_missing_header_key(tmp_path, missing):
     path = write_raw_pair(tmp_path, "m", header, bytes(1))
     with pytest.raises(VolumeFormatError):
         read_volume(path)
+
+
+# (key, value): the first two spacings loaded as (1, 2, 3); the others failed with a bare
+# TypeError or OverflowError
+MISTYPED_HEADER_VALUES = {
+    "spacing as a string": ("spacing", "123"),
+    "spacing of strings": ("spacing", ["1", "2", "3"]),
+    "spacing beyond float": ("spacing", [10**400, 1, 1]),
+    "dtype in a list": ("dtype", ["u8"]),
+    "data as a number": ("data", 5),
+    "dims with a bool": ("dims", [True, 4, 16]),
+}
+
+
+@pytest.mark.parametrize("fault", MISTYPED_HEADER_VALUES)
+def test_read_rejects_mistyped_header_value(tmp_path, fault):
+    key, value = MISTYPED_HEADER_VALUES[fault]
+    header = {"dims": [1, 4, 16], "spacing": [1, 1, 1], "dtype": "u8", "data": "m.raw", key: value}
+    (tmp_path / "m.raw").write_bytes(bytes(64))
+    path = str(tmp_path / "m.mvol.json")
+    (tmp_path / "m.mvol.json").write_text(json.dumps(header))
+    with pytest.raises(VolumeFormatError, match=f"^{re.escape(path)}: .*{key}"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("content", [bytes(range(128, 256)), b"[" * 100_000],
+                         ids=["binary", "deeply nested"])
+def test_read_rejects_header_that_is_not_json(tmp_path, content):
+    # these failed with a bare UnicodeDecodeError and a RecursionError
+    path = tmp_path / "b.mvol.json"
+    path.write_bytes(content)
+    with pytest.raises(VolumeFormatError, match=f"^{re.escape(str(path))}: invalid JSON header"):
+        read_volume(str(path))
 
 
 def test_read_rejects_unknown_dtype(tmp_path):
