@@ -36,12 +36,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .classify import PATCH_SIZE, hypothesis_classifier
-from .cnn import DatasetError, TrainConfig, concurrent_map, load_model, save_model, train
+from .cnn import DatasetError, TrainConfig, load_model, save_model, train
 from .graph import build_region_graph
 from .merging import (
     MergeForest, MergeParams, agglomerate, load_forest, save_forest, v_min_from_radius
 )
 from .metrics import format_table, layer_report, match_segments, report_json
+from .parallel import concurrent_map
 from .phantom import (
     PhantomParams,
     generate_patch_dataset,
@@ -224,9 +225,7 @@ def segment(
         else:
             classify_fn = hypothesis_classifier(pre, forest, sv, params, model)
             # The heuristic's queries stay on this thread: memory freed in a helper's malloc
-            # arena cannot serve this thread (as box_filter found for its scratch). Through
-            # concurrent_map, segment_96 peak_rss_mb read 127.2/127.9/127.3 MB against
-            # 121.1/121.3/120.9 (perfbench seeds 1-3, 2 vCPUs) for 0.03-0.17 s less op_s.
+            # arena cannot serve this thread (the README has the segment_96 RSS figures).
             resolution = resolve(forest, classify_fn, map if model is None else concurrent_map)
         labels = finalize(forest, resolution, sv)
     return Run(pre, sv, forest, resolution, labels)

@@ -8,24 +8,22 @@ smaller cubic inputs (divisible by 4), which the gradient tests use.
 
 Training is plain mini-batch ADAM, with fixed betas and epsilon, on the
 mean cross-entropy, double precision, deterministic for a fixed seed. The
-tree cut's batch-1 queries, a batch's convolution samples, the backward's
-weight-gradient offsets and per-sample input gradients, and ADAM's runs of
-row blocks run on every usable CPU (:func:`concurrent_map`); the bits do
-not depend on that or on the BLAS thread count.
+convolutions, their gradients and ADAM run through
+:func:`cellforest.parallel.concurrent_map`, with the same bits on any thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import json
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
+
+from .parallel import concurrent_map, workers
 
 N_CLASSES = 3
 PATCH_SIZE = 32  # the network's input edge: every patch is PATCH_SIZE^3 voxels
@@ -59,9 +57,9 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     kernel is applied as a correlation. Each sample is lowered to patch
     matrix rows (columns (dz, dy, dx, c_in)) a block of whole z-slices at
     a time, at most ``CONV_BLOCK`` bytes unless one slice is larger, in a
-    buffer reused by its worker; each block is multiplied into the output.
-    The dot products, and so the rounding, are those of one whole-matrix
-    product. The samples run through :func:`concurrent_map`.
+    buffer per :func:`concurrent_map` thread, the threads taking samples in
+    turn; each block is multiplied into the output. The dot products, and so
+    the rounding, are those of one whole-matrix product.
     """
     n, d, h, wd, c_in = x.shape
     k = w.shape[0]
@@ -71,20 +69,19 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
     wm = w.reshape(-1, c_out)
     zs = max(1, min(d, CONV_BLOCK // (h * wd * len(wm) * 8)))
-    workers = min(n, len(os.sched_getaffinity(0)))  # the most concurrent_map runs at once
-    bufs = [np.empty((zs, h, wd, k, k, k, c_in), dtype=np.float64) for _ in range(workers)]
-    out = np.empty((n, d, h, wd, c_out), dtype=np.float64)
+    # the buffers before the output: the other order peaked 3.5 MB higher in recut_cnn_96 (2 vCPUs)
+    bufs = [np.empty((zs, h, wd, k, k, k, c_in)) for _ in range(workers(n))]
+    out, samples = np.empty((n, d, h, wd, c_out), dtype=np.float64), iter(range(n))
 
-    def sample(i):
-        buf = bufs.pop()
-        for z in range(0, d, zs):
-            rows = buf[: min(zs, d - z)]
-            np.copyto(rows, win[i, z : z + zs].transpose(0, 1, 2, 4, 5, 6, 3))
-            np.matmul(rows.reshape(-1, len(wm)), wm, out=out[i, z : z + zs].reshape(-1, c_out))
-        out[i] += b
-        bufs.append(buf)
+    def run(buf):
+        for i in samples:
+            for z in range(0, d, zs):
+                rows = buf[: min(zs, d - z)]
+                np.copyto(rows, win[i, z : z + zs].transpose(0, 1, 2, 4, 5, 6, 3))
+                np.matmul(rows.reshape(-1, len(wm)), wm, out=out[i, z : z + zs].reshape(-1, c_out))
+            out[i] += b
 
-    concurrent_map(sample, range(n))
+    concurrent_map(run, bufs)
     return out
 
 
@@ -305,51 +302,6 @@ def predict_probs(model: CnnModel, x: np.ndarray) -> np.ndarray:
     return softmax(forward(model, x)[0])
 
 
-@functools.cache
-def _openblas():
-    """``(get, set)`` of numpy's OpenBLAS thread count, looked up once, or None."""
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
-    for lib in map(ctypes.CDLL, paths):  # scipy's own OpenBLAS exports neither name
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            if hasattr(lib, name.format("set")):
-                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-def concurrent_map(fn, items) -> list:
-    """``list(map(fn, items))`` by the calling thread and a helper per other usable CPU,
-    with numpy's OpenBLAS at one thread until all are done. Without a BLAS setter, on
-    one CPU or for one item, the calling thread runs alone and BLAS keeps its threads.
-    With BLAS left at 2 threads beside the helper, perfbench (seeds 1-3, 2 vCPUs) read
-    ``recut_cnn_96`` at 3.91/4.24/4.18 s per operation against 2.47/2.68/2.40 s, and
-    ``train_cnn`` at 5.29/5.24/5.24 s against 4.28/4.30/4.19 s."""
-    if len(items := list(items)) < 2:
-        return list(map(fn, items))
-    blas = _openblas()
-    todo, out = iter(enumerate(items)), [None] * len(items)
-
-    def work(_=None):
-        for i, item in todo:
-            out[i] = fn(item)
-
-    helpers = min(len(os.sched_getaffinity(0)), len(items)) - 1 if blas else 0
-    get, put = blas if helpers > 0 else (lambda: None, lambda n: None)
-    threads = get()
-    put(1)
-    try:
-        with ThreadPoolExecutor(max(helpers, 1)) as pool:
-            done = pool.map(work, range(helpers))
-            work()
-            list(done)  # a helper's exception is raised here
-    finally:
-        put(threads)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -390,8 +342,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     crosses memory once per step instead of once per arithmetic operation.
     An :class:`OuterProduct` gradient is formed just before each block's
     update, bit-equal to the whole product: no block is one row (gemv).
-    A contiguous run of whole blocks per usable CPU, each with its own
-    scratch arrays, goes through :func:`concurrent_map`; the moments start
+    A contiguous run of whole blocks per :func:`concurrent_map` thread, each
+    with its own scratch arrays, goes through it; the moments start
     as untouched zero pages, first written by that update.
     """
     state.t += 1
@@ -405,7 +357,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         rows = max(2, ADAM_BLOCK * len(p) // max(p.size, 1))
         stops = [*range(rows, len(p) - 1, rows), len(p)]  # a one-row tail joins its block
         blocks = list(zip([0, *stops], stops))
-        runs = np.array_split(blocks, min(len(blocks), len(os.sched_getaffinity(0))))
 
         def update(run):
             bufs = [np.empty_like(p[: rows + 1]) for _ in range(3)]
@@ -425,7 +376,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
                 np.multiply(np.divide(mb, b1t, out=step), lr, out=step)
                 pb -= np.divide(step, denom, out=step)
 
-        concurrent_map(update, runs)
+        concurrent_map(update, np.array_split(blocks, workers(len(blocks))))
 
 
 def mean_cross_entropy(model: CnnModel, x: np.ndarray, classes: np.ndarray) -> float:
@@ -509,8 +460,8 @@ def _leaves(value, at=""):
 
 
 def load_model(path: str) -> CnnModel:
-    """Read a model file, accepting only what :func:`save_model` writes. The header is checked
-    before any tensor is allocated; errors name the file and the first differing key path."""
+    """Read a model file, accepting only what :func:`save_model` writes: header, then payload
+    length, checked before any tensor is allocated. Errors name the file and any bad key path."""
     with open(path, "rb") as fh:
         line = fh.readline()
         header = None
@@ -538,7 +489,10 @@ def load_model(path: str) -> CnnModel:
                 raise ValueError(f"header: expected {want.decode()!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        params = {e["name"]: np.empty(e["shape"], dtype="<f8") for e in map(dict, keys["params"])}
+        shapes = {e["name"]: e["shape"] for e in map(dict, keys["params"])}
+        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * sum(map(math.prod, shapes.values())):
+            raise ValueError(f"{path}: payload length mismatch")
+        params = {name: np.empty(shape, dtype="<f8") for name, shape in shapes.items()}
         if any(fh.readinto(arr) != arr.nbytes for arr in params.values()) or fh.read(1):
             raise ValueError(f"{path}: payload length mismatch")
     return CnnModel(arch[0], tuple(arch[1]), *arch[2:], params)

@@ -1,0 +1,50 @@
+"""The package's one thread scheme: :func:`concurrent_map`, its OpenBLAS pin and :func:`workers`."""
+
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+
+@functools.cache
+def _openblas():
+    """``(get, set)`` of numpy's OpenBLAS thread count, looked up once, or None."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    for lib in map(ctypes.CDLL, paths):  # scipy's own OpenBLAS exports neither name
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("set")):
+                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def workers(n: int) -> int:
+    """How many threads :func:`concurrent_map` runs ``n`` items on (1 without a BLAS setter)."""
+    return min(n, len(os.sched_getaffinity(0))) if _openblas() else 1
+
+
+def concurrent_map(fn, items) -> list:
+    """``list(map(fn, items))`` on the calling thread and ``workers(len(items)) - 1`` helpers,
+    numpy's OpenBLAS at one thread until all are done (the README has the runs behind the pin)."""
+    if (helpers := workers(len(items := list(items))) - 1) < 1:
+        return list(map(fn, items))
+    todo, out = iter(enumerate(items)), [None] * len(items)
+
+    def work(_=None):
+        for i, item in todo:
+            out[i] = fn(item)
+
+    get, put = _openblas()
+    threads = get()
+    put(1)
+    try:
+        with ThreadPoolExecutor(helpers) as pool:
+            done = pool.map(work, range(helpers))
+            work()
+            list(done)  # a helper's exception is raised here
+    finally:
+        put(threads)
+    return out

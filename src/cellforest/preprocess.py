@@ -9,14 +9,13 @@ gaps in bright membranes.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy import ndimage as ndi
 
+from .parallel import concurrent_map, workers
 from .volume import ScalarVolume
 
 _CHUNK = 4  # z-slices per chunk: of 2-16, the fastest closing at 96^3
@@ -140,19 +139,17 @@ def box_filter(data: np.ndarray, boxes, op, out=None) -> np.ndarray:
     which must not share memory with ``data``. For finite data, ``ndi.grey_dilation`` or
     ``grey_erosion`` with ``mode="nearest"`` byte for byte, except that numpy returns the
     second operand where +0.0 and -0.0 tie (``normalize`` never yields -0.0). Runs in
-    ``_CHUNK``-slice z-chunks on a thread per usable CPU; threads do not change the result."""
+    ``_CHUNK``-slice z-chunks through :func:`concurrent_map`; threads do not change the result."""
     if out is not None and np.shares_memory(out, data):
         raise ValueError("box_filter: out shares memory with the input")
     a = np.ascontiguousarray(data, dtype=np.float64)
     out, nz, pad = np.empty_like(a) if out is None else out, a.shape[0], int(np.max(boxes))
-    boxes, chunks = sorted(set(map(tuple, np.asarray(boxes).tolist()))), iter(range(0, nz, _CHUNK))
+    boxes, chunks = sorted(set(map(tuple, np.asarray(boxes).tolist()))), range(0, nz, _CHUNK)
     # A dry run of the first chunk (an op that computes nothing) sizes the buffers here: no
     # worker allocates, and the memory, freed after the call, serves this thread's later arrays.
     _filter_chunks(a, [0], out, boxes, lambda p, q, out: out, pad, first := [])
-    workers = min(len(os.sched_getaffinity(0)), len(range(0, nz, _CHUNK)))
-    scratch = [first] + [list(map(np.empty_like, first)) for _ in range(workers - 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(partial(_filter_chunks, a, chunks, out, boxes, op, pad), scratch))
+    scratch = [first] + [list(map(np.empty_like, first)) for _ in range(workers(len(chunks)) - 1)]
+    concurrent_map(partial(_filter_chunks, a, iter(chunks), out, boxes, op, pad), scratch)
     return out
 
 

@@ -52,7 +52,7 @@ def resolve(
     Nodes under split parents are independent: ``map_fn(ask, wave)`` asks
     the sorted roots, then the children of the nodes each wave split, and
     the depth-first descent is replayed from the answers, so a concurrent
-    ``map_fn`` (:func:`cellforest.cnn.concurrent_map`) changes no query,
+    ``map_fn`` (:func:`cellforest.parallel.concurrent_map`) changes no query,
     no result and not which failing node the error names.
     """
     def ask(node_id: int):

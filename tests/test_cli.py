@@ -18,7 +18,7 @@ import pytest
 
 import cellforest.classify as classify_module
 import cellforest.cnn as cnn_module
-from cellforest import cli
+from cellforest import cli, parallel
 from cellforest.cli import CliError, load_config, main, segment
 from cellforest.cnn import TrainConfig
 from cellforest.merging import MergeParams, load_forest
@@ -902,7 +902,7 @@ def tiny_cnn(path):
 
 
 def test_cnn_failure_in_a_helper_thread_is_resolve_failure(forest_runs, tmp_path, capsys,
-                                                           monkeypatch):
+                                                           monkeypatch, two_cpus):
     # the resolver's queries run on helper threads too; a query that raises
     # there (here with a numpy broadcast error) must still exit 4 in stage
     # resolve with one message line, not a thread's traceback
@@ -918,10 +918,7 @@ def test_cnn_failure_in_a_helper_thread_is_resolve_failure(forest_runs, tmp_path
         helper_failed.wait(10)  # leave the other root to the helper
         return real(model, patch)
 
-    threads = []
     monkeypatch.setattr(classify_module, "cnn_probs", cnn_probs)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(cnn_module, "_openblas", lambda: (lambda: 4, threads.append))
     rc, _, err = run(capsys, "segment", "--preprocessed-in", f"{run3}.pre.mvol.json",
                      "--supervoxels-in", f"{run3}.sv.mvol.json", "--forest-in",
                      f"{run3}.forest.txt", "--output-prefix", str(tmp_path / "out"),
@@ -932,18 +929,18 @@ def test_cnn_failure_in_a_helper_thread_is_resolve_failure(forest_runs, tmp_path
     assert err.startswith("error [stage resolve]: classifier failed on node ")
     assert "could not be broadcast" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert threads == [1, 4]
+    assert two_cpus.log == [1, 4]
     assert not (tmp_path / "out.labels.mvol.json").exists()
 
 
 def test_cnn_recut_starts_no_pool_in_a_helper_thread(forest_runs, tmp_path, capsys,
-                                                     monkeypatch):
+                                                     monkeypatch, two_cpus):
     # a wave's batch-1 forwards run on helper threads; their convolutions
     # must take the in-thread path instead of nesting a second pool
     run3 = forest_runs[0]
     pools, forwards = [], []
 
-    class Pool(cnn_module.ThreadPoolExecutor):
+    class Pool(parallel.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(threading.current_thread())
             super().__init__(*args, **kwargs)
@@ -953,10 +950,8 @@ def test_cnn_recut_starts_no_pool_in_a_helper_thread(forest_runs, tmp_path, caps
         return real(x, w, b)
 
     real = cnn_module.conv3d_forward
-    monkeypatch.setattr(cnn_module, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(cnn_module, "conv3d_forward", conv3d_forward)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(cnn_module, "_openblas", lambda: (lambda: 4, lambda n: None))
     rc, _, _ = run(capsys, "segment", "--preprocessed-in", f"{run3}.pre.mvol.json",
                    "--supervoxels-in", f"{run3}.sv.mvol.json", "--forest-in",
                    f"{run3}.forest.txt", "--output-prefix", str(tmp_path / "out"),
@@ -969,12 +964,12 @@ def test_cnn_recut_starts_no_pool_in_a_helper_thread(forest_runs, tmp_path, caps
 
 
 @pytest.mark.parametrize("fails", [False, True])
-def test_train_restores_blas_threads(patch_dir, tmp_path, capsys, monkeypatch, fails):
-    blas = cnn_module._openblas()
+def test_train_restores_blas_threads(patch_dir, tmp_path, capsys, monkeypatch, cpus, fails):
+    blas = parallel._openblas()
     if blas is None:
         pytest.skip("no OpenBLAS thread-count setter among the loaded libraries")
     get, put = blas
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus(2)
     if fails:  # a gradient factor of the wrong width: ADAM's block products raise
         real = cnn_module.backward
 
@@ -999,7 +994,7 @@ def test_train_restores_blas_threads(patch_dir, tmp_path, capsys, monkeypatch, f
 
 
 def test_cnn_segment_restores_blas_threads(forest_runs, tmp_path, capsys):
-    blas = cnn_module._openblas()
+    blas = parallel._openblas()
     if blas is None:
         pytest.skip("no OpenBLAS thread-count setter among the loaded libraries")
     get, put = blas
@@ -1082,14 +1077,15 @@ BAD_SHAPES = {"string shape": (0, ["a"]), "negative shape": (1, [-1]), "8 TiB sh
 
 
 @pytest.mark.parametrize("fault", ["list header", "entry without shape", *BAD_SHAPES,
-                                   "precision f32", "raw payload"])
+                                   "precision f32", "raw payload", "24 TiB architecture"])
 def test_malformed_cnn_model_header_is_io_failure(phantom, tmp_path, capsys, fault):
     # the error used to read "'list' object has no attribute 'get'" or "'shape'" alone;
     # the bad shapes named neither file nor entry, and 8 TiB was a MemoryError; precision
-    # f32 ran and exited 0, and a volume payload failed with a bare UnicodeDecodeError
+    # f32 ran and exited 0, and a volume payload failed with a bare UnicodeDecodeError;
+    # a self-consistent header for 24 TiB of tensors was a MemoryError naming no file
     path = Path(tiny_cnn(tmp_path / "m.bin"))
     header, _, payload = path.read_bytes().partition(b"\n")
-    meta = json.loads(header)
+    meta, raw = json.loads(header), None
     if fault == "list header":
         meta, message = [meta], "not a cellforest model file"
     elif fault == "entry without shape":
@@ -1098,13 +1094,15 @@ def test_malformed_cnn_model_header_is_io_failure(phantom, tmp_path, capsys, fau
     elif fault == "precision f32":
         meta["precision"], message = "f32", 'header precision: expected "f64"'
     elif fault == "raw payload":
-        meta, message = None, "not a cellforest model file"
+        raw, message = Path(f"{phantom}.image.raw").read_bytes(), "not a cellforest model file"
+    elif fault == "24 TiB architecture":
+        raw = cnn_module._model_header(4, (2, 3), 2**40, 3, 1) + b"\0" * 64
+        message = "payload length mismatch"
     else:
         i, shape = BAD_SHAPES[fault]
         meta["params"][i]["shape"] = shape
         message = f"header params[{i}].shape: expected "
-    path.write_bytes(Path(f"{phantom}.image.raw").read_bytes() if meta is None
-                     else json.dumps(meta).encode() + b"\n" + payload)
+    path.write_bytes(raw or json.dumps(meta).encode() + b"\n" + payload)
     rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--output-prefix",
                      str(tmp_path / "out"), "--classifier", "cnn", "--model-path", str(path),
                      *SEG_FLAGS)

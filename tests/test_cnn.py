@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import os
 import sys
 import tracemalloc
 
@@ -41,6 +40,7 @@ from cellforest.cnn import (
 )
 
 import cellforest.cnn as cnn_module
+from cellforest import parallel
 from oracles import (
     conv3d_im2col_reference,
     conv3d_reference,
@@ -580,9 +580,9 @@ def test_train_peak_memory_beyond_the_model():
 
 
 @pytest.fixture
-def crowded(monkeypatch):
+def crowded(monkeypatch, cpus):
     """Eight workers, more than the cores, switching threads every 10 us."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    cpus(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     yield monkeypatch
@@ -590,10 +590,10 @@ def crowded(monkeypatch):
 
 
 def both_ways(monkeypatch, fn):
-    """``fn()`` with :func:`concurrent_map` as it is, then with the plain map."""
+    """``fn()`` with :func:`concurrent_map` as it is, then on the calling thread alone."""
     concurrent = fn()
     with monkeypatch.context() as m:
-        m.setattr(cnn_module, "concurrent_map", lambda f, xs: list(map(f, xs)))
+        m.setattr(parallel, "_openblas", lambda: None)
         return concurrent, fn()
 
 
@@ -881,6 +881,15 @@ def test_load_model_rejects_over_long_payload(tmp_path):
     (tmp_path / "long.model").write_bytes(path.read_bytes() + b"\0" * 8)
     with pytest.raises(ValueError, match="payload length mismatch"):
         load_model(tmp_path / "long.model")
+
+
+def test_load_model_checks_payload_length_before_allocating(tmp_path):
+    # the header is what save_model writes for 24 TiB of tensors: numpy's
+    # MemoryError, naming no file, came before the payload was looked at
+    path = tmp_path / "huge.model"
+    path.write_bytes(cnn_module._model_header(4, (2, 3), 2**40, 3, 1) + b"\0" * 64)
+    with pytest.raises(ValueError, match="huge.model: payload length mismatch"):
+        load_model(path)
 
 
 def test_load_model_rejects_truncated_payload(tmp_path):

@@ -103,7 +103,7 @@ def test_two_step_training_pinned_at_each_blas_thread_count(artifacts, tmp_path,
     src = str(Path(cellforest.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = ("import sys; from cellforest.cli import main; from cellforest.cnn import _openblas; "
+    script = ("import sys; from cellforest.cli import main; from cellforest.parallel import _openblas; "
               "blas = _openblas(); print('threads', blas and blas[0]()); sys.exit(main(sys.argv[1:]))")
     done = subprocess.run(
         [sys.executable, "-c", script, "train", "--dataset", str(artifacts / "ds"), "--model-out",

@@ -1,5 +1,7 @@
 import hashlib
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage as ndi
 
+from cellforest import parallel
 from cellforest import preprocess as pp
 from cellforest.phantom import PhantomParams, generate_phantom
 from cellforest.preprocess import (
@@ -229,14 +232,15 @@ def test_iterative_closing_matches_ndi_reference_property(data, r_cl_max):
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64])
-@pytest.mark.parametrize("cpus", [1, 2, 8])
-def test_box_filter_independent_of_chunk_height_and_threads(monkeypatch, chunk, cpus):
+@pytest.mark.parametrize("n_cpus", [1, 2, 8])
+def test_box_filter_independent_of_chunk_height_and_threads(monkeypatch, cpus, fake_blas, chunk,
+                                                            n_cpus):
     # a halo of 4 slices around chunks of 1 slice reaches across several
     # chunks; 19 slices leave a short tail for every height but 1. More
     # threads than cores, switching often, share the queue of chunks.
     data = np.round(np.random.default_rng(chunk).random((19, 7, 6)) * 5) / 5
     monkeypatch.setattr(pp, "_CHUNK", chunk)
-    monkeypatch.setattr(pp.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cpus(n_cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -247,6 +251,33 @@ def test_box_filter_independent_of_chunk_height_and_threads(monkeypatch, chunk, 
     finally:
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(cube, ndi.grey_erosion(data, size=3, mode="nearest"))
+
+
+def test_box_filter_threads_are_those_parallel_counts(monkeypatch, cpus, fake_blas):
+    # with a BLAS setter the chunks run on the calling thread and a helper,
+    # BLAS pinned to one thread meanwhile; without one, on the calling thread
+    cpus(2)
+    data = np.round(np.random.default_rng(5).random((40, 6, 5)) * 5) / 5
+    n_chunks = len(range(0, len(data), pp._CHUNK))
+
+    def threads_seen():
+        seen = set()
+
+        def op(p, q, out):
+            seen.add(threading.get_ident())
+            time.sleep(0.001)  # long enough for the helper to take chunks
+            return np.maximum(p, q, out=out)
+
+        out = box_filter(data, ball_boxes(2), op)
+        assert out.tobytes() == ball_ndi_reference(data, 2, "max").tobytes()
+        return seen
+
+    seen = threads_seen()
+    assert len(seen) == parallel.workers(n_chunks) == 2 and threading.get_ident() in seen
+    assert fake_blas.log == [1, 4]
+    monkeypatch.setattr(parallel, "_openblas", lambda: None)
+    assert threads_seen() == {threading.get_ident()}
+    assert parallel.workers(n_chunks) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,12 +312,12 @@ def test_box_filter_writes_into_out_that_shares_no_memory_with_its_input():
     np.testing.assert_array_equal(data, before)
 
 
-def test_closing_peak_memory_per_voxel(segment_96, monkeypatch):
+def test_closing_peak_memory_per_voxel(segment_96, cpus):
     # two work volumes (16 bytes per voxel) plus each worker's chunk buffers,
     # which hold one box prefix's windows (about 4.6 bytes per voxel here, so
     # the CPU count is fixed). Three volumes and every box's windows at once
     # took 46 bytes per voxel.
-    monkeypatch.setattr(pp.os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus(2)
     smoothed = segment_96.smoothed
     per_voxel = peak_bytes_per_voxel(lambda: iterative_closing(smoothed, 3), smoothed.data.size)
     assert per_voxel <= 26, f"closing peak {per_voxel:.1f} bytes per voxel"

@@ -1,6 +1,5 @@
 """Resolver traversal semantics and the exact-cover guarantee."""
 
-import os
 import sys
 import threading
 import time
@@ -9,10 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import cellforest.cnn as cnn_module
+from cellforest import parallel
 from cellforest.classify import ClassProbs
-from cellforest.cnn import concurrent_map
 from cellforest.merging import MergeForest
+from cellforest.parallel import concurrent_map
 from cellforest.resolve import (
     ClassifierError,
     Resolution,
@@ -207,28 +206,6 @@ def test_never_under_classifier_returns_roots():
 # waves on concurrent workers
 
 
-class FakeBlas:
-    """A BLAS thread-count getter and setter that log what they were told."""
-
-    def __init__(self, threads=4):
-        self.threads, self.log = threads, []
-
-    def get(self):
-        return self.threads
-
-    def set(self, n):
-        self.threads = n
-        self.log.append(n)
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    blas = FakeBlas()
-    monkeypatch.setattr(cnn_module, "_openblas", lambda: (blas.get, blas.set))
-    return blas
-
-
 def recording_classifier(table):
     """classify_fn backed by a dict; records queried nodes and thread ids."""
     queried, threads = [], set()
@@ -261,12 +238,11 @@ def test_concurrent_waves_match_in_thread_waves(two_cpus):
     assert two_cpus.threads == 4 and set(two_cpus.log) == {1, 4}
 
 
-def test_concurrent_map_takes_each_item_once_under_contention(monkeypatch):
+def test_concurrent_map_takes_each_item_once_under_contention(cpus, fake_blas):
     # more workers than cores and a short switch interval: a lost update to
     # the shared iterator or the result list would show as a wrong result
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    blas = FakeBlas()
-    monkeypatch.setattr(cnn_module, "_openblas", lambda: (blas.get, blas.set))
+    cpus(8)
+    blas = fake_blas
     calls = Counter()
 
     def square(item):
@@ -314,12 +290,12 @@ def test_failure_names_the_node_the_descent_reaches_first(two_cpus, map_fn, fail
 
 
 @pytest.mark.parametrize("fails", [False, True])
-def test_blas_thread_count_restored_after_resolve(monkeypatch, fails):
-    blas = cnn_module._openblas()
+def test_blas_thread_count_restored_after_resolve(cpus, fails):
+    blas = parallel._openblas()
     if blas is None:
         pytest.skip("no OpenBLAS thread-count setter among the loaded libraries")
     get, put = blas
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus(2)
     inside = []
 
     def classify(node_id):
@@ -343,9 +319,9 @@ def test_blas_thread_count_restored_after_resolve(monkeypatch, fails):
     assert inside == [1, 1] if fails else sorted(inside) == [1, 1, 2]
 
 
-def test_one_worker_without_a_blas_setter(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(cnn_module, "_openblas", lambda: None)
+def test_one_worker_without_a_blas_setter(monkeypatch, cpus):
+    cpus(2)
+    monkeypatch.setattr(parallel, "_openblas", lambda: None)
     classify, queried, threads = recording_classifier(
         {n: (0.8, 0.1, 0.1) for n in range(1, 9)}
     )
