@@ -62,9 +62,14 @@ class Patch:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (PATCH_SIZE, PATCH_SIZE, PATCH_SIZE):
-            raise ValueError(f"patch must be {PATCH_SIZE}^3, got {self.data.shape}")
-        if not ((self.data >= 0.0) & (self.data <= 1.0)).all():
+        self.check(self.data)
+
+    @staticmethod
+    def check(data: np.ndarray) -> None:
+        """Raise ValueError unless ``data``, of any real dtype, would make a valid patch."""
+        if data.shape != (PATCH_SIZE, PATCH_SIZE, PATCH_SIZE):
+            raise ValueError(f"patch must be {PATCH_SIZE}^3, got {data.shape}")
+        if not (data.min() >= 0.0 and data.max() <= 1.0):  # a NaN fails both
             raise ValueError("patch values must be finite and lie in [0, 1]")
 
 

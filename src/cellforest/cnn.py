@@ -125,24 +125,27 @@ def maxpool3d_forward(x: np.ndarray):
 
     Walks the 8 strided sub-views in window order, taking a later value
     only where strictly greater by a wrapping int64 select on the float64
-    bits: on NaN-free input, values and indices equal a per-window argmax.
+    bits: on NaN-free input, values and ``int8`` indices equal a per-window argmax.
     """
     views = [x[:, a::2, b::2, c::2] for a, b, c in np.ndindex(2, 2, 2)]
-    y, idx = views[0].copy(), np.zeros(views[0].shape, dtype=np.intp)
-    bits, greater, step = y.view(np.int64), np.empty(y.shape, bool), np.empty_like(idx)
+    y, idx = views[0].copy(), np.zeros(views[0].shape, dtype=np.int8)
+    bits, greater, step = y.view(np.int64), np.empty(y.shape, bool), np.empty(y.shape, np.int64)
     for pos, v in enumerate(views[1:], 1):
         np.greater(v, y, out=greater)
         bits += np.multiply(np.subtract(v.view(np.int64), bits, out=step), greater, out=step)
-        np.maximum(idx, np.multiply(greater, pos, out=step), out=idx)
+        np.maximum(idx, greater * np.int8(pos), out=idx)
     return y, idx
 
 
 def maxpool3d_backward(dy: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
-    n, d, h, w, c = in_shape
-    g = np.zeros((n, d // 2, h // 2, w // 2, c, 8), dtype=np.float64)
-    np.put_along_axis(g, idx[..., None], dy[..., None], axis=-1)
-    g = g.reshape(n, d // 2, h // 2, w // 2, c, 2, 2, 2)
-    return g.transpose(0, 1, 5, 2, 6, 3, 7, 4).reshape(n, d, h, w, c)
+    """``dy`` scattered to each window's first maximum through flat indices into zeros."""
+    g = np.zeros(in_shape)
+    s = np.array(g.strides) // g.itemsize
+    flat = (np.array([*np.ndindex(2, 2, 2)]) @ s[1:4])[idx]
+    for axis, (size, stride) in enumerate(zip(dy.shape, s * (1, 2, 2, 2, 1))):
+        flat += np.arange(0, size * stride, stride).reshape((-1,) + (1,) * (4 - axis))
+    g.reshape(-1)[flat] = dy
+    return g
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -233,19 +236,27 @@ def forward(
 
     ``x`` is (n, s, s, s) or (n, s, s, s, 1). Dropout is applied at the
     fc1 output exactly when ``keep_prob`` < 1, drawn from ``rng``, with
-    inverted scaling so inference needs no rescale. The cache keeps the
-    pooled maps, not the convolution outputs: those are rectified in
-    place, pooled and freed.
+    inverted scaling so inference needs no rescale. The conv stack runs on
+    :func:`workers` samples at a time, each convolution output rectified in
+    place, pooled and freed; the cache keeps the pooled maps, n-sized arrays.
     """
-    if x.ndim == 4:
-        x = x[..., None]
-    x = np.asarray(x, dtype=np.float64)
-    p = model.params
+    return _forward(model, x, keep_prob, rng)
 
-    relu = lambda a: np.maximum(a, 0.0, out=a)  # in place; the conv output dies after pooling
-    m1, idx1 = maxpool3d_forward(relu(conv3d_forward(x, p["conv1_w"], p["conv1_b"])))
-    m2, idx2 = maxpool3d_forward(relu(conv3d_forward(m1, p["conv2_w"], p["conv2_b"])))
-    flat = m2.reshape(x.shape[0], -1)
+
+def _forward(model, x, keep_prob=1.0, rng=None, cache=True):
+    """:func:`forward`; without ``cache``, (logits, None), having kept only fc1's input."""
+    x = np.asarray(x[..., None] if x.ndim == 4 else x, dtype=np.float64)
+    p, n, pooled = model.params, len(x), None
+    relu = lambda a: np.maximum(a, 0.0, out=a)
+    conv = lambda a, i: relu(conv3d_forward(a, p[f"conv{i}_w"], p[f"conv{i}_b"]))
+    for lo in range(0, n, step := workers(n)):
+        m1, idx1 = maxpool3d_forward(conv(x[lo : lo + step], 1))
+        chunk = (*maxpool3d_forward(conv(m1, 2)), m1, idx1)[: 4 if cache else 1]
+        pooled = pooled or [np.empty((n, *a.shape[1:]), a.dtype) for a in chunk]
+        for out, a in zip(pooled, chunk):
+            out[lo : lo + step] = a
+    m2, idx2, m1, idx1 = pooled if cache else (*pooled, None, None, None)
+    flat = m2.reshape(n, -1)
     f1 = flat @ p["fc1_w"] + p["fc1_b"]
     rf, mask = np.maximum(f1, 0.0), None
     if keep_prob < 1.0:
@@ -256,8 +267,7 @@ def forward(
     logits = dropped @ p["out_w"] + p["out_b"]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits; check model parameters")
-    cache = (x, m1, idx1, m2, idx2, flat, f1, mask, dropped)
-    return logits, cache
+    return logits, (x, m1, idx1, m2, idx2, flat, f1, mask, dropped) if cache else None
 
 
 class OuterProduct:
@@ -275,7 +285,7 @@ def backward(model: CnnModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarra
     ``flat.T @ df1``, as an :class:`OuterProduct` of its factors, which
     :func:`adam_step` forms a block of rows at a time, never whole. Unpooling
     routes a gradient to where the ReLU output equals the pooled ``m``, so
-    ``dm * (m > 0)`` before it masks exactly as the ReLU's own mask after."""
+    ``dm *= m > 0`` before it masks exactly as the ReLU's own mask after."""
     x, m1, idx1, m2, idx2, flat, f1, mask, dropped = cache
     p = model.params
     grads = {}
@@ -290,9 +300,9 @@ def backward(model: CnnModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarra
     dflat = df1 @ p["fc1_w"].T
 
     dm2 = dflat.reshape(m2.shape)
-    da2 = maxpool3d_backward(dm2 * (m2 > 0), idx2, m1.shape[:4] + m2.shape[4:])
+    da2 = maxpool3d_backward(np.multiply(dm2, m2 > 0, out=dm2), idx2, m1.shape[:4] + m2.shape[4:])
     dm1, grads["conv2_w"], grads["conv2_b"] = conv3d_backward(m1, p["conv2_w"], da2)
-    da1 = maxpool3d_backward(dm1 * (m1 > 0), idx1, x.shape[:4] + m1.shape[4:])
+    da1 = maxpool3d_backward(np.multiply(dm1, m1 > 0, out=dm1), idx1, x.shape[:4] + m1.shape[4:])
     _, grads["conv1_w"], grads["conv1_b"] = conv3d_backward(x, p["conv1_w"], da1, input_grad=False)
     return grads
 
@@ -380,8 +390,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
 
 
 def mean_cross_entropy(model: CnnModel, x: np.ndarray, classes: np.ndarray) -> float:
-    """Full-set cross-entropy with dropout off (the loss-trace metric)."""
-    return cross_entropy(forward(model, x)[0], classes)[0]
+    """Full-set dropout-off cross-entropy (the loss-trace metric), keeping only fc1's input."""
+    return cross_entropy(_forward(model, x, cache=False)[0], classes)[0]
 
 
 def train(

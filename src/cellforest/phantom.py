@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage as ndi
 
 from .classify import CLASS_NAMES, Patch, crop_patch
-from .cnn import DatasetError
+from .cnn import PATCH_SIZE, DatasetError
 from .graph import face_pairs, pair_keys
 from .preprocess import ball_offsets, gaussian_smooth
 from .volume import LabelVolume, ScalarVolume, _check_spacing, read_volume, write_volume
@@ -267,12 +267,12 @@ def save_patch_dataset(dirpath: str, patches: list[Patch], classes: list[str]) -
 
 
 def load_patch_dataset(dirpath: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a patch directory back as (patches (n,32,32,32), class indices)."""
+    """Read a patch directory back as (patches (n,32,32,32), class indices): every
+    ``index.txt`` line is parsed and checked, then each patch read into one array."""
     index = os.path.join(dirpath, "index.txt")
     if not os.path.isfile(index):
         raise DatasetError(f"no index.txt in {dirpath}")
-    x = []
-    classes = []
+    entries = []
     with open(index) as fh:
         for raw in fh:
             line = raw.strip()
@@ -284,14 +284,17 @@ def load_patch_dataset(dirpath: str) -> tuple[np.ndarray, np.ndarray]:
                 raise DatasetError(f"malformed index line {line!r}") from None
             if cls not in CLASS_NAMES:
                 raise DatasetError(f"unknown class name {cls!r} in index")
-            vol = read_volume(os.path.join(dirpath, name))
-            if not isinstance(vol, ScalarVolume):
-                raise DatasetError(f"{name}: a u32 label volume is not an intensity patch")
-            try:
-                x.append(Patch(vol.data).data)
-            except ValueError as exc:
-                raise DatasetError(f"{name}: {exc}") from None
-            classes.append(CLASS_NAMES.index(cls))
-    if not x:
+            entries.append((name, CLASS_NAMES.index(cls)))
+    if not entries:
         raise DatasetError(f"empty dataset in {dirpath}")
-    return np.stack(x), np.array(classes, dtype=np.int64)
+    x = np.empty((len(entries), PATCH_SIZE, PATCH_SIZE, PATCH_SIZE))
+    for row, (name, _) in zip(x, entries):
+        vol = read_volume(os.path.join(dirpath, name))
+        if not isinstance(vol, ScalarVolume):
+            raise DatasetError(f"{name}: a u32 label volume is not an intensity patch")
+        try:
+            Patch.check(vol.data)  # before the float64 copy, which goes straight into x
+        except ValueError as exc:
+            raise DatasetError(f"{name}: {exc}") from None
+        row[...] = vol.data
+    return x, np.array([cls for _, cls in entries], dtype=np.int64)

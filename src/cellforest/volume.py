@@ -155,13 +155,13 @@ def read_volume(path: str) -> Volume:
 
     nx, ny, nz = dims
     data_path = os.path.join(os.path.dirname(header_path), data)
-    raw = np.fromfile(data_path, dtype=dtype)
-    expected = nx * ny * nz
-    if raw.size != expected:
+    expected, size = nx * ny * nz, os.stat(data_path).st_size  # checked before any read
+    if size != expected * dtype.itemsize:
         raise TruncatedDataError(
-            f"{data_path}: expected {expected} values of dtype {code}, got {raw.size}"
+            f"{data_path}: expected {expected} values of dtype {code}"
+            f" ({expected * dtype.itemsize} bytes), got {size} bytes"
         )
-    arr = raw.reshape(nz, ny, nx)
+    arr = np.fromfile(data_path, dtype=dtype).reshape(nz, ny, nx)
     if code == _LABEL_CODE:
         return LabelVolume(arr, spacing)
     return ScalarVolume(arr, spacing)

@@ -57,9 +57,10 @@ def forest_leaf_lookup(forest):
     return forest.leaves_under
 
 
-def peak_bytes_per_voxel(call, voxels):
-    """The tracemalloc peak of ``call()`` above what was traced before it, per
-    voxel; the result counts while the call holds it."""
+def peak_bytes_per(call, units=1):
+    """The tracemalloc peak of ``call()`` above what was traced before it, divided
+    by ``units`` (voxels, patches, parameter bytes); the result counts while the
+    call holds it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -67,4 +68,4 @@ def peak_bytes_per_voxel(call, voxels):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - before) / voxels
+    return (peak - before) / units

@@ -476,6 +476,17 @@ def maxpool_argmax_reference(x):
     return np.take_along_axis(xt, idx[..., None], axis=-1)[..., 0], idx
 
 
+def maxpool_backward_reference(dy, idx, in_shape):
+    """The 2x2x2 unpooling of ``dy`` through window indices ``idx`` (as
+    :func:`maxpool_argmax_reference` gives them): ``put_along_axis`` into a
+    zeroed 8-wide array, then its transposed copy in the input's layout."""
+    n, d, h, w, c = in_shape
+    g = np.zeros((n, d // 2, h // 2, w // 2, c, 8), dtype=np.float64)
+    np.put_along_axis(g, np.asarray(idx, dtype=np.intp)[..., None], dy[..., None], axis=-1)
+    g = g.reshape(n, d // 2, h // 2, w // 2, c, 2, 2, 2)
+    return g.transpose(0, 1, 5, 2, 6, 3, 7, 4).reshape(n, d, h, w, c)
+
+
 def node_patch_reference(data, labels, leaves, mask_background, size=32, margin=2):
     """A node's patch from whole-volume membership: bounding box of every
     voxel labelled with one of ``leaves``, the whole volume masked when

@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, config handling, artifacts."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
+import locale
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,10 +19,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellforest.classify as classify_module
 import cellforest.cnn as cnn_module
 from cellforest import cli, parallel
+from cellforest.classify import CLASS_NAMES
 from cellforest.cli import CliError, load_config, main, segment
 from cellforest.cnn import TrainConfig
 from cellforest.merging import MergeParams, load_forest
@@ -1131,6 +1138,21 @@ def test_mistyped_volume_header_is_io_failure(phantom, tmp_path, capsys, fault):
     assert not list(tmp_path.glob("out*"))
 
 
+def test_oversized_volume_payload_is_io_failure_without_a_read(phantom, tmp_path, capsys,
+                                                              monkeypatch):
+    header = json.loads(Path(f"{phantom}.image.mvol.json").read_text())
+    path = tmp_path / "in.mvol.json"
+    path.write_text(json.dumps({**header, "data": "in.raw"}))
+    (tmp_path / "in.raw").touch()
+    os.truncate(tmp_path / "in.raw", 50 << 20)  # sparse: an 8-voxel read took all 50 MiB
+    monkeypatch.setattr(np, "fromfile", lambda *a, **k: pytest.fail("read a wrong-size payload"))
+    rc, _, err = run(capsys, "segment", str(path), "--output-prefix", str(tmp_path / "out"),
+                     *SEG_FLAGS)
+    assert rc == 3
+    assert err.startswith(f"error [stage io]: {tmp_path / 'in.raw'}: expected ")
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_supervoxels_of_another_spacing_are_data_error(forest_runs, tmp_path, capsys):
     run3 = forest_runs[0]
     sv = read_volume(f"{run3}.sv.mvol.json")
@@ -1414,3 +1436,112 @@ def test_train_label_volume_patch_is_data_error(patch_dir, tmp_path, capsys):
     assert rc == 4
     assert err.startswith("error [stage data]:")
     assert name in err and "label volume" in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_patches(tmp_path_factory):
+    """A patch directory: four valid patches named in BASE_INDEX, beside a 16^3 patch, a
+    label volume, a patch with a value above 1 and a header whose payload is short."""
+    root = tmp_path_factory.mktemp("fuzz_patches")
+    rng = np.random.default_rng(40)
+    patches = {f"p{i}.mvol.json": rng.random((32, 32, 32)).astype(np.float32) for i in range(4)}
+    for name, data in patches.items():
+        write_volume(ScalarVolume(data), root / name)
+    write_volume(ScalarVolume(np.zeros((16, 16, 16), np.float32)), root / "small.mvol.json")
+    write_volume(LabelVolume(np.ones((32, 32, 32), np.uint32)), root / "labels.mvol.json")
+    write_volume(ScalarVolume(np.full((32, 32, 32), 1.5, np.float32)), root / "hot.mvol.json")
+    write_volume(ScalarVolume(np.zeros((32, 32, 32), np.float32)), root / "short.mvol.json")
+    os.truncate(root / "short.raw", 100)
+    return root, patches
+
+
+BASE_INDEX = ["p0.mvol.json,under", "p1.mvol.json,correct", "p2.mvol.json,over",
+              "p3.mvol.json,correct"]
+NAME_POOL = ["p0.mvol.json", "p3.mvol.json", "small.mvol.json", "labels.mvol.json",
+             "hot.mvol.json", "short.mvol.json", "absent.mvol.json", "p0.raw", "p0", "",
+             ".", "index.txt", "../p0.mvol.json", "p0.mvol.json\x00"]
+CLASS_POOL = ["under", "correct", "over", "Under", "", "overr", "correct,over"]
+
+
+@st.composite
+def edited_index(draw):
+    """BASE_INDEX's bytes after one to three line edits: a line dropped, duplicated,
+    swapped, padded with whitespace, given another name, class or separator, or
+    inserted from random text; then joined by one line ending, sometimes with bytes
+    that are not UTF-8 appended."""
+    lines = list(BASE_INDEX)
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ["drop", "duplicate", "swap", "pad", "name", "class", "separator"] if lines else []
+        kind = draw(st.sampled_from([*kinds, "insert"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "pad":
+            space = st.sampled_from(["", " ", "\t", "\x0b", "\xa0"])
+            lines[i] = draw(space) + lines[i] + draw(space)
+        elif kind in ("name", "class"):
+            name, _, cls = lines[i].partition(",")
+            pool = st.sampled_from(NAME_POOL if kind == "name" else CLASS_POOL)
+            new = draw(pool | st.text(max_size=6))
+            lines[i] = f"{new},{cls}" if kind == "name" else f"{name},{new}"
+        elif kind == "separator":
+            lines[i] = lines[i].replace(",", draw(st.sampled_from([";", ", ", " ,", ",,", ""])))
+        else:
+            lines.insert(i, draw(st.text(max_size=12)))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    raw = (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode()
+    return raw + draw(st.sampled_from([b"", b"", b"\xff\xfe"]))
+
+
+def index_oracle(raw, valid):
+    """The (name, class) rows ``raw`` names, or None if ``train`` must refuse it: every
+    non-blank line, whitespace stripped, is a name from ``valid`` and a class, and every
+    class has a row."""
+    try:
+        text = raw.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        return None
+    rows, classes = [], ["under", "correct", "over"]
+    for line in re.split(r"\r\n|\r|\n", text):
+        fields = line.strip().split(",")
+        if fields == [""]:
+            continue
+        if len(fields) != 2 or fields[0] not in valid or fields[1] not in classes:
+            return None
+        rows.append(tuple(fields))
+    return rows if {cls for _, cls in rows} == set(classes) else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(edited_index())
+def test_train_loads_exactly_a_valid_index_and_refuses_others(fuzz_patches, raw):
+    root, patches = fuzz_patches
+    (root / "index.txt").write_bytes(raw)
+    model_out = root / "net.model"
+    model_out.unlink(missing_ok=True)
+    seen, real_train = [], cli.train
+
+    def small_train(x, classes, config):  # the run on 8^3 crops, for speed
+        seen.append((x.copy(), classes.copy()))
+        return real_train(x[:, :8, :8, :8], classes, config)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as m, contextlib.redirect_stderr(err):
+        m.setattr(cli, "train", small_train)
+        rc = main(["train", "--dataset", str(root), "--model-out", str(model_out), "--epochs", "1"])
+    rows = index_oracle(raw, patches)
+    if rows is None:
+        assert rc in (2, 3, 4), rc
+        assert re.match(r"error \[stage (config|io|data|train)\]: ", err.getvalue()), err.getvalue()
+        assert not model_out.exists()
+        return
+    assert rc == 0, err.getvalue()
+    (x, classes), = seen
+    assert np.array_equal(x, np.stack([patches[name] for name, _ in rows]))
+    assert [CLASS_NAMES[c] for c in classes] == [cls for _, cls in rows]
+    assert model_out.exists()

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,11 +40,13 @@ from cellforest.cnn import (
 
 import cellforest.cnn as cnn_module
 from cellforest import parallel
+from checks import peak_bytes_per
 from oracles import (
     conv3d_im2col_reference,
     conv3d_reference,
     finite_difference_grad,
     maxpool_argmax_reference,
+    maxpool_backward_reference,
     maxpool_reference,
 )
 
@@ -143,19 +144,22 @@ def test_conv_forward_blocks_that_do_not_divide_the_depth(monkeypatch, slices):
     assert np.array_equal(conv3d_forward(x, w, b), conv3d_im2col_reference(x, w, b))
 
 
+def tied_pool_input(seed, shape=(2, 4, 6, 8, 3)):
+    """Few distinct values, so most windows hold ties, and zeros of both signs."""
+    return np.random.default_rng(seed).choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=shape)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_maxpool_bit_equal_to_argmax_reference_on_ties_and_signed_zeros(seed):
-    # few distinct values, so most windows hold ties, and zeros of both
-    # signs, whose ties must keep the first one's sign bit
-    rng = np.random.default_rng(seed)
-    x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=(2, 4, 6, 8, 3))
+    # ties of zeros of both signs must keep the first one's sign bit
+    x = tied_pool_input(seed)
     x[0, :2, :2, :2, 0] = -0.0  # all-negative-zero window
     x[1, :2, :2, :2, 0] = [[[-0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     x[1, 2:, :2, :2, 0] = [[[0.0, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [-0.0, 0.0]]]
     y, idx = maxpool3d_forward(x)
     y_ref, idx_ref = maxpool_argmax_reference(x)
     assert np.array_equal(bits(y), bits(y_ref))
-    assert np.array_equal(idx, idx_ref)
+    assert idx.dtype == np.int8 and np.array_equal(idx, idx_ref)
     assert np.signbit(y[0, 0, 0, 0, 0]) and np.signbit(y[1, 0, 0, 0, 0])
     assert not np.signbit(y[1, 1, 0, 0, 0])
 
@@ -166,6 +170,28 @@ def test_maxpool_bit_equal_to_argmax_reference_at_production_shape():
     y_ref, idx_ref = maxpool_argmax_reference(x)
     assert np.array_equal(bits(y), bits(y_ref))
     assert np.array_equal(idx, idx_ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_maxpool_backward_bit_equal_to_put_along_axis_reference(seed):
+    # tied windows, zeros of both signs in the input and in dy, negative dy
+    x = tied_pool_input(seed)
+    _, idx = maxpool3d_forward(x)
+    dy = tied_pool_input(seed + 10, idx.shape) * 3.0
+    g = maxpool3d_backward(dy, idx, x.shape)
+    assert np.array_equal(bits(g), bits(maxpool_backward_reference(dy, idx, x.shape)))
+    assert (np.signbit(dy) & (dy == 0)).any() and (dy < 0).any()
+
+
+@pytest.mark.parametrize("side,c", [(32, 32), (16, 64)], ids=["pool1", "pool2"])
+def test_maxpool_backward_bit_equal_to_reference_at_production_shape(side, c):
+    rng = np.random.default_rng(side)
+    x = np.maximum(rng.standard_normal((2, side, side, side, c)), 0.0)
+    _, idx = maxpool3d_forward(x)
+    dy = rng.standard_normal(idx.shape) * (rng.random(idx.shape) > 0.3)  # and zeros
+    dy[0, 0] = -0.0
+    g = maxpool3d_backward(dy, idx, x.shape)
+    assert np.array_equal(bits(g), bits(maxpool_backward_reference(dy, idx, x.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +458,22 @@ def test_predict_peak_memory_per_patch():
     # place and freed after pooling (31.3 MB when forward kept a1, r1, a2, r2)
     model = init_model(seed=2)
     x = np.random.default_rng(3).random((1, 32, 32, 32))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        predict_probs(model, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before <= 16e6, f"forward peak {(peak - before) / 1e6:.1f} MB"
+    peak = peak_bytes_per(lambda: predict_probs(model, x))
+    assert peak <= 16e6, f"forward peak {peak / 1e6:.1f} MB"
+
+
+def test_loss_trace_grows_by_a_pooled_map_per_patch(cpus):
+    # the trace keeps only fc1's input rows (0.26 MB a patch) and one chunk's
+    # convolution outputs; a whole-set forward grew 11.7 MB a patch
+    cpus(2)
+    model = init_model(seed=4)
+
+    def trace_peak(n):
+        x = np.random.default_rng(n).random((n, 32, 32, 32))
+        return peak_bytes_per(lambda: mean_cross_entropy(model, x, np.arange(n) % 3))
+
+    per_patch = (trace_peak(24) - trace_peak(6)) / 18
+    assert per_patch <= 0.5e6, f"loss trace grows {per_patch / 1e6:.2f} MB a patch"
 
 
 def adam_digests(p, grad):
@@ -564,14 +598,7 @@ def test_train_peak_memory_beyond_the_model():
     param_bytes = sum(p.nbytes for p in model.params.values())
     x = np.random.default_rng(21).random((3, 32, 32, 32))
     config = TrainConfig(batch_size=2, epochs=1, seed=0)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        train(x, np.array([0, 1, 2]), config, model=model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    ratio = (peak - before) / param_bytes
+    ratio = peak_bytes_per(lambda: train(x, np.array([0, 1, 2]), config, model=model), param_bytes)
     assert ratio < 2.5, f"train peak {ratio:.2f} x parameter bytes"
 
 
@@ -605,6 +632,43 @@ def test_conv_forward_samples_concurrently_bit_equal(crowded, n):
     b = rng.random(4)
     concurrent, alone = both_ways(crowded, lambda: conv3d_forward(x, w, b))
     assert np.array_equal(concurrent, alone)
+
+
+def whole_batch_forward(model, x, keep_prob, rng):
+    """The forward pass one layer at a time over the whole batch, as a cache tuple
+    led by the logits."""
+    p, x = model.params, x[..., None]
+    relu = lambda a: np.maximum(a, 0.0, out=a)
+    m1, idx1 = maxpool3d_forward(relu(conv3d_forward(x, p["conv1_w"], p["conv1_b"])))
+    m2, idx2 = maxpool3d_forward(relu(conv3d_forward(m1, p["conv2_w"], p["conv2_b"])))
+    flat = m2.reshape(len(x), -1)
+    f1 = flat @ p["fc1_w"] + p["fc1_b"]
+    mask = (rng.random(f1.shape) < keep_prob) / keep_prob
+    dropped = np.maximum(f1, 0.0) * mask
+    return dropped @ p["out_w"] + p["out_b"], x, m1, idx1, m2, idx2, flat, f1, mask, dropped
+
+
+@pytest.mark.parametrize("n_cpus", [2, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+def test_forward_in_chunks_bit_equal_to_whole_batch(crowded, cpus, n_cpus, n):
+    # two CPUs: chunks of two samples (of one without a BLAS setter), an odd
+    # n ending in one sample; eight: one chunk of n samples, on n threads
+    cpus(n_cpus)
+    model = init_model(input_size=8, seed=n)
+    x = np.random.default_rng(n).random((n, 8, 8, 8))
+    chunks, conv = [], cnn_module.conv3d_forward
+    spy = lambda a, w, b: chunks.append(len(a)) or conv(a, w, b)
+    crowded.setattr(cnn_module, "conv3d_forward", spy)
+    logits, cache = forward(model, x, 0.6, np.random.default_rng(1))
+    assert sum(chunks) == 2 * n and max(chunks) == parallel.workers(n)
+    want = whole_batch_forward(model, x, 0.6, np.random.default_rng(1))
+    for got, ref in zip((logits, *cache), want, strict=True):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+    classes = np.arange(n) % 3
+    no_dropout = whole_batch_forward(model, x, 1.0, np.random.default_rng(1))[0]
+    assert mean_cross_entropy(model, x, classes) == cross_entropy(no_dropout, classes)[0]
+    assert np.array_equal(predict_probs(model, x), softmax(no_dropout))
 
 
 @pytest.mark.parametrize("input_grad", [True, False])

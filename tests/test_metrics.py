@@ -15,7 +15,7 @@ from cellforest.metrics import (
 from cellforest.volume import LabelVolume
 from cellforest.watershed import seeded_watershed
 
-from checks import peak_bytes_per_voxel
+from checks import peak_bytes_per
 from oracles import match_reference
 
 
@@ -152,7 +152,7 @@ def test_match_segments_peak_memory_per_voxel(segment_96):
     # mask; masked copies of both volumes and np.unique took 35 bytes per voxel
     s = segment_96
     pred = LabelVolume(seeded_watershed(s.pre, s.minima).labels.astype(np.uint32), s.truth.spacing)
-    per_voxel = peak_bytes_per_voxel(lambda: match_segments(pred, s.truth), pred.labels.size)
+    per_voxel = peak_bytes_per(lambda: match_segments(pred, s.truth), pred.labels.size)
     assert per_voxel <= 16, f"match_segments peak {per_voxel:.1f} bytes per voxel"
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage as ndi
 
+from cellforest.classify import Patch
 from cellforest.cnn import DatasetError
 from cellforest.phantom import (
     PhantomParams,
@@ -22,6 +23,7 @@ from cellforest.phantom import (
 )
 from cellforest.preprocess import gaussian_smooth
 
+from checks import peak_bytes_per
 from oracles import (
     membrane_mask_reference,
     place_sites_reference,
@@ -360,6 +362,16 @@ def test_patch_dataset_round_trip(tmp_path):
         np.testing.assert_array_equal(
             x[i], patch.data.astype(np.float32).astype(np.float64)
         )
+
+
+def test_load_dataset_peak_memory(tmp_path):
+    # each patch is read straight into the returned array; a list of patches
+    # and np.stack peaked at 2.09 times the array
+    rng = np.random.default_rng(8)
+    save_patch_dataset(tmp_path, [Patch(rng.random((32, 32, 32))) for _ in range(6)],
+                       ["under", "correct", "over"] * 2)
+    ratio = peak_bytes_per(lambda: load_patch_dataset(tmp_path), 6 * 32**3 * 8)
+    assert ratio <= 1.2, f"load peak {ratio:.2f} x the array"
 
 
 def test_load_dataset_error_cases(tmp_path):

@@ -23,7 +23,7 @@ from cellforest.preprocess import (
 )
 from cellforest.volume import ScalarVolume, normalize
 
-from checks import peak_bytes_per_voxel
+from checks import peak_bytes_per
 from oracles import ball_ndi_reference, blur_reference, closing_ndi_reference, morph_reference
 
 def ball_to_offsets(radius):
@@ -319,7 +319,7 @@ def test_closing_peak_memory_per_voxel(segment_96, cpus):
     # took 46 bytes per voxel.
     cpus(2)
     smoothed = segment_96.smoothed
-    per_voxel = peak_bytes_per_voxel(lambda: iterative_closing(smoothed, 3), smoothed.data.size)
+    per_voxel = peak_bytes_per(lambda: iterative_closing(smoothed, 3), smoothed.data.size)
     assert per_voxel <= 26, f"closing peak {per_voxel:.1f} bytes per voxel"
 
 

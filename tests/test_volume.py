@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -58,6 +59,23 @@ def test_read_truncated_u16(tmp_path):
         bytes(4),
     )
     with pytest.raises(TruncatedDataError):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("code, size", [("u8", 50 << 20), ("u8", 7), ("f32", 4 * 8 + 2)],
+                         ids=["50MiB", "short", "partial value"])
+def test_read_compares_payload_size_before_reading(tmp_path, monkeypatch, code, size):
+    # an 8-voxel u8 header over a 50 MiB payload read all of it before it
+    # raised; a trailing partial f32 value was dropped without an error
+    path = write_raw_pair(tmp_path, "v", {"dims": [2, 2, 2], "spacing": [1, 1, 1],
+                                          "dtype": code, "data": "v.raw"}, b"")
+    os.truncate(tmp_path / "v.raw", size)
+
+    def fromfile(*args, **kwargs):
+        raise AssertionError("read a payload of the wrong size")
+
+    monkeypatch.setattr(np, "fromfile", fromfile)
+    with pytest.raises(TruncatedDataError, match=f"8 values of dtype {code} .* got {size} bytes"):
         read_volume(path)
 
 

@@ -12,7 +12,7 @@ from cellforest.preprocess import gaussian_smooth, iterative_closing
 from cellforest.volume import ScalarVolume
 from cellforest.watershed import MinimaSet, find_local_minima, seeded_watershed
 
-from checks import peak_bytes_per_voxel
+from checks import peak_bytes_per
 from oracles import (
     flood_heap_reference,
     flood_reference,
@@ -220,7 +220,7 @@ def test_watershed_peak_memory_per_voxel(segment_96):
     # the flood's working arrays above its inputs, output included; it was
     # 62 bytes per voxel before the int32 ranks, blocked passes and early frees
     pre, m = segment_96.pre, segment_96.minima
-    per_voxel = peak_bytes_per_voxel(lambda: seeded_watershed(pre, m), pre.data.size)
+    per_voxel = peak_bytes_per(lambda: seeded_watershed(pre, m), pre.data.size)
     assert per_voxel <= 24, f"flood peak {per_voxel:.1f} bytes per voxel"
 
 
