@@ -2,9 +2,10 @@
 
 Architecture for 32^3 single-channel patches: two 5x5x5 same-padding
 convolutions with 32 and 64 feature maps, each followed by ReLU and
-2x2x2/stride-2 max pooling, then a 1024-unit fully connected layer with
-inverted dropout and a 3-class softmax head. All shapes generalize to
-smaller cubic inputs (divisible by 4), which the gradient tests use.
+2x2x2/stride-2 max pooling in one :func:`conv3d_forward` layer that pools
+its convolution two slices at a time, then a 1024-unit fully connected
+layer with inverted dropout and a 3-class softmax head. All shapes
+generalize to smaller cubic inputs (divisible by 4), which the gradient tests use.
 
 Training is plain mini-batch ADAM, with fixed betas and epsilon, on the
 mean cross-entropy, double precision, deterministic for a fixed seed. The
@@ -19,7 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import numpy as np
 
@@ -39,7 +40,7 @@ PARAM_ORDER = (
     "out_b",
 )
 ADAM_BLOCK = 1 << 16  # elements per adam_step block: 512 KiB of float64
-CONV_BLOCK = 2 << 20  # bytes of im2col rows per conv3d_forward block: about one L2 cache
+CONV_BLOCK = 3 << 20  # most bytes of im2col rows per conv3d_forward block: 6 of conv2's y-lines
 
 
 class DatasetError(ValueError):
@@ -50,43 +51,50 @@ class DatasetError(ValueError):
 # layer primitives (channels-last: (batch, z, y, x, channels))
 
 
-def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stride-1 3D convolution with zero 'same' padding.
+def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """The network's conv layer: stride-1 3D convolution with zero 'same'
+    padding, bias, ReLU and :func:`maxpool3d_forward`; returns (pooled maps,
+    ``int8`` indices), each (n, d/2, h/2, wd/2, c_out), odd edges floored.
 
-    ``x`` is (n, d, h, wd, c_in), ``w`` is (k, k, k, c_in, c_out). The
-    kernel is applied as a correlation. Each sample is lowered to patch
-    matrix rows (columns (dz, dy, dx, c_in)) a block of whole z-slices at
-    a time, at most ``CONV_BLOCK`` bytes unless one slice is larger, in a
-    buffer per :func:`concurrent_map` thread, the threads taking samples in
-    turn; each block is multiplied into the output. The dot products, and so
-    the rounding, are those of one whole-matrix product.
+    ``x`` is (n, d, h, wd, c_in), ``w`` is (k, k, k, c_in, c_out), applied
+    as a correlation. The :func:`concurrent_map` threads take samples in
+    turn. Each computes two z-slices at a time into its own buffer: blocks
+    of whole y-lines lowered to patch matrix rows (columns (dz, dy, dx,
+    c_in)), at most ``CONV_BLOCK`` bytes unless one line is larger, each
+    multiplied into the pair; then the bias, an in-place ReLU and the pool.
+    The dot products, and so the rounding, are those of one whole-matrix
+    product, and no full-resolution output is ever whole.
     """
     n, d, h, wd, c_in = x.shape
-    k = w.shape[0]
-    c_out = w.shape[4]
-    p = k // 2
+    k, c_out, p = w.shape[0], w.shape[4], w.shape[0] // 2
     xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
     wm = w.reshape(-1, c_out)
-    zs = max(1, min(d, CONV_BLOCK // (h * wd * len(wm) * 8)))
-    # the buffers before the output: the other order peaked 3.5 MB higher in recut_cnn_96 (2 vCPUs)
-    bufs = [np.empty((zs, h, wd, k, k, k, c_in)) for _ in range(workers(n))]
-    out, samples = np.empty((n, d, h, wd, c_out), dtype=np.float64), iter(range(n))
+    ys, lines = max(1, CONV_BLOCK // (wd * len(wm) * 8)), h // 2 * 2
+    blocks = -(-lines // ys)  # of near-equal size: a short tail block multiplies slower
+    cuts = [slice(lines * j // blocks, lines * (j + 1) // blocks) for j in range(blocks)]
+    pooled = np.empty((n, d // 2, h // 2, wd // 2, c_out))
+    idx, samples = np.empty(pooled.shape, np.int8), iter(range(n))
 
-    def run(buf):
+    def run(_):
+        rows = np.empty((min(ys, lines), wd, k, k, k, c_in))
+        pair = np.empty((1, 2, lines, wd, c_out))
         for i in samples:
-            for z in range(0, d, zs):
-                rows = buf[: min(zs, d - z)]
-                np.copyto(rows, win[i, z : z + zs].transpose(0, 1, 2, 4, 5, 6, 3))
-                np.matmul(rows.reshape(-1, len(wm)), wm, out=out[i, z : z + zs].reshape(-1, c_out))
-            out[i] += b
+            for z in range(0, d - 1, 2):
+                for dz, at in product((0, 1), cuts):
+                    block = rows[: at.stop - at.start]
+                    np.copyto(block, win[i, z + dz, at].transpose(0, 1, 3, 4, 5, 2))
+                    np.matmul(block.reshape(-1, len(wm)), wm, out=pair[0, dz, at].reshape(-1, c_out))
+                pair += b
+                m, j = maxpool3d_forward(np.maximum(pair, 0.0, out=pair)[..., : wd // 2 * 2, :])
+                pooled[i, z // 2], idx[i, z // 2] = m[0, 0], j[0, 0]
 
-    concurrent_map(run, bufs)
-    return out
+    concurrent_map(run, range(workers(n)))
+    return pooled, idx
 
 
 def conv3d_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, input_grad: bool = True):
-    """Gradients of :func:`conv3d_forward` w.r.t. input, weights and bias.
+    """Gradients of :func:`conv3d_forward`'s convolution w.r.t. input, weights and bias.
 
     Works offset-by-offset: each offset's weight gradient is one matmul
     over the whole batch, with a long inner dimension, and no k^3-redundant
@@ -237,8 +245,8 @@ def forward(
     ``x`` is (n, s, s, s) or (n, s, s, s, 1). Dropout is applied at the
     fc1 output exactly when ``keep_prob`` < 1, drawn from ``rng``, with
     inverted scaling so inference needs no rescale. The conv stack runs on
-    :func:`workers` samples at a time, each convolution output rectified in
-    place, pooled and freed; the cache keeps the pooled maps, n-sized arrays.
+    :func:`workers` samples at a time, each :func:`conv3d_forward` pooling its
+    convolution as it computes it; the cache keeps the pooled maps, n-sized arrays.
     """
     return _forward(model, x, keep_prob, rng)
 
@@ -247,16 +255,14 @@ def _forward(model, x, keep_prob=1.0, rng=None, cache=True):
     """:func:`forward`; without ``cache``, (logits, None), having kept only fc1's input."""
     x = np.asarray(x[..., None] if x.ndim == 4 else x, dtype=np.float64)
     p, n, pooled = model.params, len(x), None
-    relu = lambda a: np.maximum(a, 0.0, out=a)
-    conv = lambda a, i: relu(conv3d_forward(a, p[f"conv{i}_w"], p[f"conv{i}_b"]))
-    for lo in range(0, n, step := workers(n)):
-        m1, idx1 = maxpool3d_forward(conv(x[lo : lo + step], 1))
-        chunk = (*maxpool3d_forward(conv(m1, 2)), m1, idx1)[: 4 if cache else 1]
+    for lo in range(0, max(n, 1), step := workers(n)):  # an empty batch runs once, for the shapes
+        m1, idx1 = conv3d_forward(x[lo : lo + step], p["conv1_w"], p["conv1_b"])
+        chunk = (*conv3d_forward(m1, p["conv2_w"], p["conv2_b"]), m1, idx1)[: 4 if cache else 1]
         pooled = pooled or [np.empty((n, *a.shape[1:]), a.dtype) for a in chunk]
         for out, a in zip(pooled, chunk):
             out[lo : lo + step] = a
     m2, idx2, m1, idx1 = pooled if cache else (*pooled, None, None, None)
-    flat = m2.reshape(n, -1)
+    flat = m2.reshape(n, math.prod(m2.shape[1:]))
     f1 = flat @ p["fc1_w"] + p["fc1_b"]
     rf, mask = np.maximum(f1, 0.0), None
     if keep_prob < 1.0:

@@ -22,8 +22,8 @@ def _openblas():
 
 
 def workers(n: int) -> int:
-    """How many threads :func:`concurrent_map` runs ``n`` items on (1 without a BLAS setter)."""
-    return min(n, len(os.sched_getaffinity(0))) if _openblas() else 1
+    """Threads :func:`concurrent_map` runs ``n`` items on, at least 1 (1 without a BLAS setter)."""
+    return max(1, min(n, len(os.sched_getaffinity(0)))) if _openblas() else 1
 
 
 def concurrent_map(fn, items) -> list:

@@ -155,7 +155,10 @@ def read_volume(path: str) -> Volume:
 
     nx, ny, nz = dims
     data_path = os.path.join(os.path.dirname(header_path), data)
-    expected, size = nx * ny * nz, os.stat(data_path).st_size  # checked before any read
+    try:  # the size is checked before any read
+        expected, size = nx * ny * nz, os.stat(data_path).st_size
+    except (OSError, ValueError) as exc:  # missing, or a name no path holds: NUL, lone surrogate
+        raise VolumeFormatError(f"{header_path}: payload {data!r}: {exc}") from exc
     if size != expected * dtype.itemsize:
         raise TruncatedDataError(
             f"{data_path}: expected {expected} values of dtype {code}"

@@ -5,8 +5,10 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import locale
+import math
 import os
 import re
 import shutil
@@ -1151,6 +1153,113 @@ def test_oversized_volume_payload_is_io_failure_without_a_read(phantom, tmp_path
     assert rc == 3
     assert err.startswith(f"error [stage io]: {tmp_path / 'in.raw'}: expected ")
     assert not list(tmp_path.glob("out*"))
+
+
+# header values an edit may put in: the written ones, their neighbours and wrong JSON types
+MVOL_VALUES = {
+    "dims": [[24, 24, 24], [12, 48, 24], [24, 24, 12], [24, 24, 25], [0, 24, 24],
+             [-24, 24, 24], [24.0, 24, 24], [24, 24], [24, 24, 24, 1], [True, 24, 24],
+             ["24", 24, 24], [2**40, 2**40, 2**40], None, 24],
+    "spacing": [[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [0, 1, 1], [-1, 1, 1], [math.nan, 1, 1],
+                [math.inf, 1, 1], [1e-320, 1, 1], [10**400, 1, 1], [1, 1], [1, 1, 1, 1],
+                ["1", 1, 1], [True, 1, 1], None, "1"],
+    "dtype": ["u8", "u16", "u32", "f32", "f64", "i4", "", "U32", None, ["f32"], 4],
+    "data": ["run3.pre.raw", "run3.sv.raw", "", ".", "..", "nothing.raw", "run3.pre.raw/",
+             "a\x00b", "\ud800", "sub/../run3.sv.raw", 5, None, ["run3.sv.raw"]],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+
+
+@st.composite
+def mvol_edits(draw):
+    """One to three edits of the preprocessed and the supervoxel MVOL pair, each
+    (part, kind, what): a header key set to a value or dropped, one header byte
+    replaced by zero to two bytes, or the payload cut or grown by zero bytes (2304
+    bytes is one 24^2 slice of 4-byte values)."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        part, kind = draw(st.sampled_from(["pre", "sv"])), draw(st.sampled_from(
+            ["value", "value", "drop", "byte", "payload"]))
+        key = draw(st.sampled_from([*MVOL_VALUES, "extra"]))
+        if kind == "value":  # a pooled value three times in four
+            pool = st.sampled_from(MVOL_VALUES.get(key, [0]))
+            what = (key, draw(pool if draw(st.integers(0, 3)) else JSON_VALUES))
+        elif kind == "drop":
+            what = key
+        elif kind == "byte":
+            what = (draw(st.integers(0, 10**6)), draw(st.binary(max_size=2)))
+        else:
+            what = draw(st.sampled_from([2304, -2304, 24**3]) | st.integers(-9, 9))
+        edits.append((part, kind, what))
+    return edits
+
+
+def apply_mvol_edit(root, part, kind, what):
+    header = root / f"run3.{part}.mvol.json"
+    raw = header.read_bytes()
+    if kind == "byte":
+        at, new = what
+        header.write_bytes(raw[: at % len(raw)] + new + raw[at % len(raw) + 1 :])
+        return
+    if kind == "payload":
+        payload = root / f"run3.{part}.raw"
+        os.truncate(payload, max(0, payload.stat().st_size + what))  # grows by zeros
+        return
+    try:
+        fields_ = json.loads(raw)
+    except ValueError:
+        return  # an earlier byte edit left no JSON object to edit
+    if not isinstance(fields_, dict):
+        return
+    if kind == "drop":
+        fields_.pop(what, None)
+    else:
+        fields_[what[0]] = what[1]
+    header.write_text(json.dumps(fields_))
+
+
+def named_files(header):
+    """The header path and, if its header names one, the payload path."""
+    names = [str(header)]
+    with contextlib.suppress(ValueError):
+        fields_ = json.loads(header.read_bytes())
+        if isinstance(fields_, dict) and isinstance(fields_.get("data"), str):
+            names.append(os.path.join(header.parent, fields_["data"]))
+    return names
+
+
+@settings(max_examples=300, deadline=None)
+@given(mvol_edits())
+def test_edited_mvol_pair_reads_as_a_volume_or_is_named_io_failure(forest_runs,
+                                                                   tmp_path_factory, edits):
+    # each resumed volume either reads, and segment then runs or refuses it as
+    # data (exit 0 or 4), or is refused as io naming its header or payload
+    root = tmp_path_factory.mktemp("mvol")
+    for part, suffix in itertools.product(("pre", "sv"), (".mvol.json", ".raw")):
+        shutil.copy(f"{forest_runs[0]}.{part}{suffix}", root)
+    for edit in edits:
+        apply_mvol_edit(root, *edit)
+    headers = [root / f"run3.{part}.mvol.json" for part in ("pre", "sv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["segment", "--preprocessed-in", str(headers[0]), "--supervoxels-in",
+                   str(headers[1]), "--output-prefix", str(root / "out"), *FOREST_FLAGS])
+    err = err.getvalue()
+    for header, kind in zip(headers, (ScalarVolume, LabelVolume)):  # segment's read order
+        try:
+            vol = read_volume(str(header))
+        except Exception:
+            assert rc == 3 and err.startswith("error [stage io]: "), err
+            assert any(name in err for name in named_files(header)), err
+            break
+        if not isinstance(vol, kind) or not np.isfinite(getattr(vol, "data", 0)).all():
+            assert rc == 4 and err.startswith(f"error [stage data]: {header}: "), err
+            break
+    else:
+        assert rc == 0 or re.match(r"error \[stage (data|merge)\]: ", err), err
+    assert (root / "out.labels.mvol.json").exists() == (rc == 0)
 
 
 def test_supervoxels_of_another_spacing_are_data_error(forest_runs, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Network layers, gradients, the optimizer and model persistence."""
 
+import functools
 import hashlib
 import json
 import math
@@ -55,24 +56,31 @@ from oracles import (
 # layer forwards against loop references
 
 
+relu = lambda a: np.maximum(a, 0.0)
+
+
 @pytest.mark.parametrize("kernel", [3, 5])
 def test_conv_matches_loop_reference(kernel):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 6, 6, 6, 2))
     w = rng.standard_normal((kernel, kernel, kernel, 2, 3))
     b = rng.standard_normal(3)
-    got = conv3d_forward(x, w, b)
+    got, _ = conv3d_forward(x, w, b)
     for n in range(2):
-        np.testing.assert_allclose(got[n], conv3d_reference(x[n], w, b), atol=1e-12)
+        want = maxpool_reference(relu(conv3d_reference(x[n], w, b)))
+        np.testing.assert_allclose(got[n], want, atol=1e-12)
 
 
 def test_conv_identity_kernel_passes_input_through():
+    # the layer is then the pool of the rectified input
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 4, 4, 4, 1))
     w = np.zeros((3, 3, 3, 1, 1))
     w[1, 1, 1, 0, 0] = 1.0
-    out = conv3d_forward(x, w, np.zeros(1))
-    np.testing.assert_allclose(out, x, atol=0)
+    out, idx = conv3d_forward(x, w, np.zeros(1))
+    want, want_idx = maxpool_argmax_reference(relu(x))
+    np.testing.assert_allclose(out, want, atol=0)
+    np.testing.assert_array_equal(idx, want_idx)
 
 
 def test_maxpool_matches_loop_reference():
@@ -120,6 +128,22 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
+def layer_reference(x, w, b):
+    """The conv layer from the oracles: the whole-matrix convolution, a ReLU and the
+    argmax pool of the even part of each edge, with ``int8`` indices."""
+    a = relu(conv3d_im2col_reference(x, w, b))
+    _, d, h, wd, _ = a.shape
+    m, idx = maxpool_argmax_reference(a[:, : d // 2 * 2, : h // 2 * 2, : wd // 2 * 2])
+    return m, idx.astype(np.int8)
+
+
+def assert_same_layer(got, want):
+    """Pooled maps bit for bit, indices exactly, each of the same shape and dtype."""
+    for a, ref in zip(got, want, strict=True):
+        assert a.dtype == ref.dtype and a.shape == ref.shape
+        assert np.array_equal(a.view(np.uint8), ref.view(np.uint8))
+
+
 @pytest.mark.parametrize("batch", [1, 2, 6])
 @pytest.mark.parametrize("side,c_in,c_out", [(32, 1, 32), (16, 32, 64)], ids=["conv1", "conv2"])
 def test_conv_forward_bit_equal_to_whole_im2col(side, c_in, c_out, batch):
@@ -128,20 +152,57 @@ def test_conv_forward_bit_equal_to_whole_im2col(side, c_in, c_out, batch):
     x = np.maximum(rng.standard_normal((batch, side, side, side, c_in)), 0.0)
     w = rng.standard_normal((5, 5, 5, c_in, c_out)) * 0.05
     b = rng.standard_normal(c_out)
-    assert np.array_equal(conv3d_forward(x, w, b), conv3d_im2col_reference(x, w, b))
+    assert_same_layer(conv3d_forward(x, w, b), layer_reference(x, w, b))
 
 
 @pytest.mark.parametrize("slices", [1, 2, 3, 7, 100])
 def test_conv_forward_blocks_that_do_not_divide_the_depth(monkeypatch, slices):
-    # a 7-deep odd shape cut into blocks of 1, 2, 3 and 7 slices, and a
-    # block larger than the whole sample
+    # a 7-deep, 5-high odd shape (pooled from its even 6 x 4 part) cut into
+    # blocks of at most 1, 2, 3 and 7 y-lines, 7 and 100 more than the 4 computed
     n, d, h, wd, c_in, k = 2, 7, 5, 6, 3, 5
-    monkeypatch.setattr(cnn_module, "CONV_BLOCK", slices * h * wd * k**3 * c_in * 8)
+    monkeypatch.setattr(cnn_module, "CONV_BLOCK", slices * wd * k**3 * c_in * 8)
     rng = np.random.default_rng(slices)
     x = rng.standard_normal((n, d, h, wd, c_in))
     w = rng.standard_normal((k, k, k, c_in, 4))
     b = rng.standard_normal(4)
-    assert np.array_equal(conv3d_forward(x, w, b), conv3d_im2col_reference(x, w, b))
+    assert_same_layer(conv3d_forward(x, w, b), layer_reference(x, w, b))
+
+
+@functools.cache
+def layer_case(case):
+    """(x, w, b) and the reference layer for a production layer at batch 2, or for an odd
+    shape with zeros of both signs in its input and its weights, whose convolution outputs
+    are few multiples of 0.5, so that most pooling windows hold ties."""
+    rng = np.random.default_rng(len(case))
+    if case == "ties":
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=(2, 7, 5, 6, 3))
+        w = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=(5, 5, 5, 3, 4))
+        b = np.array([-0.0, 0.0, -0.5, 0.5])
+    else:
+        side, c_in, c_out = {"conv1": (32, 1, 32), "conv2": (16, 32, 64)}[case]
+        x = np.maximum(rng.standard_normal((2, side, side, side, c_in)), 0.0)
+        w, b = rng.standard_normal((5, 5, 5, c_in, c_out)) * 0.05, rng.standard_normal(c_out)
+    return (x, w, b), layer_reference(x, w, b)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 8])
+@pytest.mark.parametrize("lines", [None, 0, 3, 1000], ids=["default", "1_line", "3_lines", "whole"])
+@pytest.mark.parametrize("case", ["conv1", "conv2", "ties"])
+def test_conv_layer_bit_equal_to_pooled_rectified_reference(crowded, cpus, case, lines, n_cpus):
+    # the production shapes and a tied one, blocks of one line, of 3 lines and
+    # some odd bytes (dividing no edge) and of more than a sample, on one
+    # thread and on a thread per sample
+    cpus(n_cpus)
+    (x, w, b), want = layer_case(case)
+    if lines is not None:
+        crowded.setattr(cnn_module, "CONV_BLOCK", lines * x.shape[3] * w[..., 0].size * 8 + 7)
+    assert_same_layer(conv3d_forward(x, w, b), want)
+    if case == "ties":
+        assert (np.signbit(x) & (x == 0)).any() and (~np.signbit(x) & (x == 0)).any()
+        full = conv3d_im2col_reference(x, w, b)
+        assert len(np.unique(full)) < full.size / 10 and (relu(full) == 0).mean() > 0.3
+        for i in range(len(x)):  # the loop pool, which gives values only
+            np.testing.assert_array_equal(want[0][i], maxpool_reference(relu(full[i])))
 
 
 def tied_pool_input(seed, shape=(2, 4, 6, 8, 3)):
@@ -354,6 +415,18 @@ def test_dropout_requires_rng_in_training_mode():
         forward(model, np.zeros((1, 4, 4, 4)), keep_prob=0.5)
 
 
+@pytest.mark.parametrize("blas", [True, False], ids=["blas_setter", "no_blas_setter"])
+def test_forward_on_an_empty_batch_gives_no_logits(monkeypatch, two_cpus, blas):
+    # workers(0) was 0 with a BLAS setter, and the chunk loop's step with it
+    if not blas:
+        monkeypatch.setattr(parallel, "_openblas", lambda: None)
+    model, x = init_model(input_size=8), np.zeros((0, 8, 8, 8))
+    assert parallel.workers(0) == 1
+    logits, (_, m1, idx1, m2, *_) = forward(model, x)
+    assert logits.shape == (0, 3) and predict_probs(model, x).shape == (0, 3)
+    assert m1.shape == (0, 4, 4, 4, 32) and idx1.dtype == np.int8 and m2.shape == (0, 2, 2, 2, 64)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -454,12 +527,13 @@ def test_forward_backward_bits_pinned(size, seed):
 
 
 def test_predict_peak_memory_per_patch():
-    # one 32^3 forward above its inputs: the conv outputs are rectified in
-    # place and freed after pooling (31.3 MB when forward kept a1, r1, a2, r2)
+    # one 32^3 forward above its inputs: each layer pools two output slices
+    # at a time (31.3 MB when forward kept a1, r1, a2, r2, 13.6 MB with each
+    # layer's whole convolution output and conv2's 8.2 MB im2col slice)
     model = init_model(seed=2)
     x = np.random.default_rng(3).random((1, 32, 32, 32))
     peak = peak_bytes_per(lambda: predict_probs(model, x))
-    assert peak <= 16e6, f"forward peak {peak / 1e6:.1f} MB"
+    assert peak <= 8e6, f"forward peak {peak / 1e6:.1f} MB"
 
 
 def test_loss_trace_grows_by_a_pooled_map_per_patch(cpus):
@@ -626,21 +700,21 @@ def both_ways(monkeypatch, fn):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_conv_forward_samples_concurrently_bit_equal(crowded, n):
-    crowded.setattr(cnn_module, "CONV_BLOCK", 3 * 8 * 8 * 5**3 * 2 * 8)  # 3 of 8 slices a block
+    crowded.setattr(cnn_module, "CONV_BLOCK", 3 * 8 * 8 * 5**3 * 2 * 8)  # 3 of 8 lines a block
     rng = np.random.default_rng(n)
     x, w = rng.standard_normal((n, 8, 8, 8, 2)), rng.standard_normal((5, 5, 5, 2, 4))
     b = rng.random(4)
     concurrent, alone = both_ways(crowded, lambda: conv3d_forward(x, w, b))
-    assert np.array_equal(concurrent, alone)
+    assert_same_layer(concurrent, alone)
+    assert_same_layer(concurrent, layer_reference(x, w, b))
 
 
 def whole_batch_forward(model, x, keep_prob, rng):
-    """The forward pass one layer at a time over the whole batch, as a cache tuple
-    led by the logits."""
+    """The forward pass one reference layer at a time over the whole batch, as a
+    cache tuple led by the logits."""
     p, x = model.params, x[..., None]
-    relu = lambda a: np.maximum(a, 0.0, out=a)
-    m1, idx1 = maxpool3d_forward(relu(conv3d_forward(x, p["conv1_w"], p["conv1_b"])))
-    m2, idx2 = maxpool3d_forward(relu(conv3d_forward(m1, p["conv2_w"], p["conv2_b"])))
+    m1, idx1 = layer_reference(x, p["conv1_w"], p["conv1_b"])
+    m2, idx2 = layer_reference(m1, p["conv2_w"], p["conv2_b"])
     flat = m2.reshape(len(x), -1)
     f1 = flat @ p["fc1_w"] + p["fc1_b"]
     mask = (rng.random(f1.shape) < keep_prob) / keep_prob

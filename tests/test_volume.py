@@ -121,6 +121,18 @@ def test_read_rejects_header_that_is_not_json(tmp_path, content):
         read_volume(str(path))
 
 
+@pytest.mark.parametrize("data", ["a\x00b", "\ud800", "nothing.raw"],
+                         ids=["NUL", "lone surrogate", "missing"])
+def test_read_names_the_header_of_a_payload_it_cannot_stat(tmp_path, data):
+    # these raised the bare ValueError "embedded null byte", a UnicodeEncodeError
+    # and a FileNotFoundError naming the payload alone (found by the MVOL edit fuzz)
+    path = tmp_path / "p.mvol.json"
+    path.write_text(json.dumps({"dims": [1, 1, 1], "spacing": [1, 1, 1], "dtype": "u8",
+                                "data": data}))
+    with pytest.raises(VolumeFormatError, match=f"^{re.escape(str(path))}: payload "):
+        read_volume(str(path))
+
+
 def test_read_rejects_unknown_dtype(tmp_path):
     path = write_raw_pair(
         tmp_path,
