@@ -3,8 +3,12 @@
 Every merge-forest node can be rendered as a 32^3 intensity patch:
 the node's bounding box, expanded by a small margin, either centered in
 the patch (with edge-replicated padding) or trilinearly downsampled when
-it is larger than the patch. Two classifiers map patches to the three
-hypothesis classes *under-segmentation*, *correct cell* and
+it is larger than the patch. The resample is scipy's order-1 interpolation
+with nearest-edge extension, to the bit, in numpy: per axis the two taps
+floor(c) and floor(c) + 1 are clipped into the volume (not the coordinate),
+w0 = 1 - (c - floor(c)) and w1 = 1 - w0, and each sample sums v * wz * wy *
+wx over the eight corners from 0.0, x fastest. Two classifiers map patches
+to the three hypothesis classes *under-segmentation*, *correct cell* and
 *over-segmentation*: the trained network from :mod:`cellforest.cnn`,
 which sees the raw context its training patches had, and a fixed
 heuristic that needs no training and sees the node's own voxels only.
@@ -73,14 +77,36 @@ class Patch:
             raise ValueError("patch values must be finite and lie in [0, 1]")
 
 
+def trilinear(data: np.ndarray, axes: list) -> np.ndarray:
+    """``data`` sampled at the grid of the (z, y, x) coordinate arrays ``axes``,
+    in its dtype, by the rule in the module docstring. The products are formed
+    in stages: the z taps of whole planes, then their y taps, then x."""
+    taps = []  # per axis: the two clipped taps and their weights, broadcastable
+    for a, c in enumerate(axes):
+        i = np.floor(c)
+        w = (1.0 - (c - i)).reshape((-1,) + (1,) * (2 - a))
+        i = i.astype(np.int64)
+        taps.append([(np.clip(i, 0, data.shape[a] - 1), w),
+                     (np.clip(i + 1, 0, data.shape[a] - 1), 1.0 - w)])
+    out = np.zeros([len(c) for c in axes])
+    for iz, wz in taps[0]:
+        z = data[iz] * wz
+        for iy, wy in taps[1]:
+            zy = z[:, iy] * wy
+            for ix, wx in taps[2]:
+                out += np.take(zy, ix, axis=2) * wx
+    return out.astype(data.dtype, copy=False)
+
+
 def crop_patch(data: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                keep: Callable[[tuple], np.ndarray] | None = None) -> np.ndarray:
     """Render the box [lo, hi] (inclusive, (z, y, x) order) as a PATCH_SIZE^3 patch.
 
     The box is first expanded by ``MARGIN`` on every side. If the result
     fits, it is centered and out-of-volume voxels replicate the nearest
-    edge; otherwise it is resampled to PATCH_SIZE^3 with trilinear
-    interpolation at pixel-center-aligned coordinates. ``keep`` maps the
+    edge; otherwise it is resampled to PATCH_SIZE^3 by :func:`trilinear` at
+    pixel-center-aligned coordinates (scipy's order-1 ``nearest`` rule, to the
+    bit: clipped taps, w1 = 1 - w0, corners summed x fastest). ``keep`` maps the
     window of ``data`` the rendering reads (a tuple of slices) to a mask
     of it; rejected voxels read as zeros.
     """
@@ -92,7 +118,7 @@ def crop_patch(data: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     if fits:
         starts = lo_e - (PATCH_SIZE - span) // 2
         w0, w1 = np.clip(starts, 0, shape - 1), np.clip(starts + PATCH_SIZE - 1, 0, shape - 1)
-    else:  # the trilinear taps stay within one voxel of the expanded box
+    else:  # the taps stay within one voxel of the expanded box
         w0, w1 = np.maximum(lo_e - 1, 0), np.minimum(hi_e + 1, shape - 1)
     window = tuple(slice(a, b + 1) for a, b in zip(w0, w1))
     local = data[window] if keep is None else np.where(keep(window), data[window], 0.0)
@@ -100,15 +126,8 @@ def crop_patch(data: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         idx = [np.clip(starts[a] + np.arange(PATCH_SIZE), 0, shape[a] - 1) - w0[a]
                for a in range(3)]
         return local[np.ix_(*idx)]
-    coords = [
-        lo_e[a] + (np.arange(PATCH_SIZE) + 0.5) * span[a] / PATCH_SIZE - 0.5 for a in range(3)
-    ]
-    zz, yy, xx = np.meshgrid(*coords, indexing="ij")
-    flat = ndi.map_coordinates(
-        local, np.stack([zz.ravel(), yy.ravel(), xx.ravel()]) - w0[:, None], order=1,
-        mode="nearest",
-    )
-    return flat.reshape(PATCH_SIZE, PATCH_SIZE, PATCH_SIZE)
+    return trilinear(local, [lo_e[a] + (np.arange(PATCH_SIZE) + 0.5) * span[a] / PATCH_SIZE
+                             - 0.5 - w0[a] for a in range(3)])
 
 
 def extract_patch(

@@ -91,9 +91,13 @@ def _int_set(text: str) -> frozenset[int]:
     return frozenset(int(p) for p in text.replace(",", " ").split() if p)
 
 
+SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def load_config(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, keys match the
-    long flag names (hyphens and underscores interchangeable)."""
+    long flag names (hyphens and underscores interchangeable). A repeated
+    key, or a ``dump_stages`` that is not a ``SWITCH`` word, names its line."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -102,15 +106,21 @@ def load_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: {key!r} is already set")
+            if key == "dump_stages" and value.lower() not in SWITCH:
+                raise ValueError(f"{path}:{lineno}: dump_stages must be one of "
+                                 f"{', '.join(SWITCH)}, got {value!r}")
+            cfg[key] = value
     return cfg
 
 
 def _config_argv(args: argparse.Namespace) -> list[str]:
     """The lines of the ``--config`` file as ``segment`` arguments. The known keys
     are the parsed ``segment`` options: ``input`` fills the positional unless the
-    command line gave one, and ``dump_stages`` is a bare flag when 1, true or yes."""
+    command line gave one, and ``dump_stages`` is a bare flag when on."""
     keys = vars(args).keys() - {"command", "func", "config"}
     argv = []
     for key, value in load_config(args.config).items():
@@ -121,7 +131,7 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
                 argv.insert(0, value)
         elif key != "dump_stages":
             argv.append(f"--{key.replace('_', '-')}={value}")
-        elif value.lower() in ("1", "true", "yes"):
+        elif SWITCH[value.lower()]:
             argv.append("--dump-stages")
     return argv
 

@@ -33,7 +33,7 @@ has a closed form:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, partial, reduce
+from functools import partial, reduce
 from itertools import groupby
 
 import numpy as np
@@ -91,8 +91,9 @@ def _roots(ptr: np.ndarray) -> np.ndarray:
     todo = list(range(0, len(ptr), 1 << 15))
     for a in todo:  # a block with pointers short of the end queues again
         p = ptr[a:a + (1 << 15)]
-        p[p >= 0] = ptr[p[p >= 0]]
-        if (p >= 0).any():
+        i = np.flatnonzero(p >= 0)
+        p[i] = t = ptr[p[i]]
+        if (t >= 0).any():
             todo.append(a)
     return ptr
 
@@ -201,11 +202,15 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
             x, y = px, py
         return -1 if K[x] < K[y] else 1
 
+    def first(xs):
+        """The x in xs processed first; of children of one voxel, the earliest listed."""
+        return reduce(lambda best, x: x if before(x, best) < 0 else best, xs)
+
     def pick(x):
         """Set the exact parent of x: its first neighbour."""
         if PAR[x] < 0:
-            first = min(K[x + s] for s in steps)
-            PAR[x] = min((x + s for s in steps if K[x + s] == first), key=cmp_to_key(before))
+            low = min(ks := [K[x + s] for s in steps])
+            PAR[x] = first([x + s for s, k in zip(steps, ks) if k == low])
 
     def settle(todo):
         """Run the tasks on the list once the exact parents they compare are set."""
@@ -220,23 +225,28 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
     for _, vox in groupby(sorted(pits.tolist(), key=lambda x: (K[x], cof[x])), cof.__getitem__):
         vox = list(vox)
         rim = {x + s for x in vox for s in steps if x + s not in cof and K[x + s] == K[x]}
-        settle([lambda: host.update(dict.fromkeys(vox, (min(rim, key=cmp_to_key(before)), 1)))])
+        settle([lambda: host.update(dict.fromkeys(vox, (first(rim), 1)))])
         par[vox] = host[vox[0]][0]
 
     # Parents of the rest, a block at a time: the unique neighbour first by
     # key, else a tie whose candidates are those neighbours (c, with repeats).
-    cand, st = [], np.array(steps, dtype=np.int32)[:, None]
+    cand = []
     for a in range(lo, hi, step := n // 64 + 1):
         b = min(a + step, hi)
-        k6 = np.stack([kk[a + s:b + s] for s in steps])
-        c = np.where(k6 == k6.min(0), np.arange(a, b, dtype=np.int32) + st, -1)
+        k6 = [kk[a + s:b + s] for s in steps]
+        low = reduce(np.minimum, k6)
+        hits = [k == low for k in k6]
+        count = reduce(np.add, (h.view(np.int8) for h in hits))
+        open_, at = free[a - lo:b - lo] & (par[a:b] < 0), np.arange(a, b, dtype=np.int32)
+        one = open_ & (count == 1)
+        for s, h in zip(steps, hits):
+            np.copyto(par[a:b], at + s, where=one & h)
+        i = np.flatnonzero(open_ & (count > 1))
+        c = np.stack([np.where(h[i], at[i] + s, -1) for s, h in zip(steps, hits)])
         np.copyto(c, c.max(0), where=c < 0)
-        open_ = free[a - lo:b - lo] & (par[a:b] < 0)
-        one = open_ & (c.min(0) == c.max(0))
-        np.copyto(par[a:b], c[0], where=one)
-        cand.append(c[:, open_ & ~one])
+        cand.append(c)
     tied, cand = lo + np.flatnonzero(free & (par[lo:hi] < 0)), np.concatenate(cand, axis=1)
-    del free, k6, c
+    del free, k6, low, hits, count, c
 
     # Labels: parent chains end (~node) at seeds, label l as node l - 1, or at
     # tied voxels, i as node m + i. A tied voxel links to a candidate's node,
@@ -252,7 +262,8 @@ def seeded_watershed(v: ScalarVolume, seeds: MinimaSet) -> LabelVolume:
         done = par[tied] >= 0
         link[m:][done] = node[par[tied[done]]]
         lab = _roots(link.copy())
-        clash = ~done & reduce(np.logical_or, (lab[c] != lab[cand[0]] for c in cand[1:]))
+        l0 = lab[cand[0]]
+        clash = ~done & reduce(np.logical_or, (lab[c] != l0 for c in cand[1:]))
         if not clash.any():
             break
         settle([partial(pick, t) for t in tied[clash].tolist()])

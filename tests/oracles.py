@@ -503,12 +503,20 @@ def node_patch_reference(data, labels, leaves, mask_background, size=32, margin=
         starts = lo_e - (size - span) // 2
         idx = [np.clip(starts[a] + np.arange(size), 0, data.shape[a] - 1) for a in range(3)]
         return data[np.ix_(idx[0], idx[1], idx[2])]
-    axes = [lo_e[a] + (np.arange(size) + 0.5) * span[a] / size - 0.5 for a in range(3)]
-    zz, yy, xx = np.meshgrid(*axes, indexing="ij")
-    flat = ndi.map_coordinates(
-        data, np.stack([zz.ravel(), yy.ravel(), xx.ravel()]), order=1, mode="nearest"
-    )
-    return flat.reshape(size, size, size)
+    return trilinear_reference(data, pixel_centers(lo_e, span, size))
+
+
+def pixel_centers(lo_e, span, size=32):
+    """Per axis, the centers of ``size`` equal cells over ``span`` voxels from
+    ``lo_e``, in voxel coordinates."""
+    return [lo_e[a] + (np.arange(size) + 0.5) * span[a] / size - 0.5 for a in range(3)]
+
+
+def trilinear_reference(data, axes):
+    """scipy's order-1 interpolation with nearest-edge extension of ``data`` at
+    the grid of the (z, y, x) coordinate arrays ``axes``, in ``data``'s dtype."""
+    grid = np.meshgrid(*axes, indexing="ij")
+    return ndi.map_coordinates(data, np.stack(grid), order=1, mode="nearest")
 
 
 def finite_difference_grad(f, param, eps=1e-5):

@@ -11,6 +11,7 @@ from scipy import ndimage as ndi
 
 from cellforest.classify import (
     CLASS_NAMES,
+    MARGIN,
     ClassProbs,
     Patch,
     cnn_probs,
@@ -18,12 +19,13 @@ from cellforest.classify import (
     extract_patch,
     heuristic_probs,
     hypothesis_classifier,
+    trilinear,
 )
 from cellforest.cnn import init_model
 from cellforest.merging import MergeForest, MergeParams
 from cellforest.volume import LabelVolume, ScalarVolume
 
-from oracles import node_patch_reference
+from oracles import node_patch_reference, pixel_centers, trilinear_reference
 
 
 def as_array(probs):
@@ -121,6 +123,57 @@ def test_crop_preserves_monotone_ramp_direction():
     diffs = np.diff(patch[:, 0, 0])
     assert np.all(diffs >= 0)
     assert patch[0, 0, 0] < 0.1 and patch[-1, 0, 0] > 0.9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([np.float32, np.float64]),
+       st.lists(st.lists(st.floats(-4.0, 70.0), min_size=1, max_size=6), min_size=3, max_size=3))
+def test_trilinear_bytes_equal_scipy_order1_interpolation_at_any_coordinates(seed, dtype, axes):
+    # arbitrary coordinates, inside, between and beyond the voxels: patches
+    # only sample multiples of 1/64, where some rounding mistakes cancel
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(rng.integers(1, 13, size=3)).astype(dtype)
+    axes = [np.array(c) for c in axes]
+    ref = trilinear_reference(data, axes)
+    got = trilinear(data, axes)
+    assert got.dtype == data.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def resampled_boxes(draw):
+    """A float32 or float64 volume of at most 64 voxels per axis and a box in
+    it whose expanded span passes PATCH_SIZE on one, two or three axes. Each
+    axis's box touches the low border, the high one, both or neither, so the
+    sample coordinates fall below 0 or above n - 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_big = draw(st.integers(1, 3))
+    shape, lo, hi = [], [], []
+    for wide in draw(st.permutations([True] * n_big + [False] * (3 - n_big))):
+        n = draw(st.integers(29, 64) if wide else st.integers(1, 64))
+        width = draw(st.integers(29, n) if wide else st.integers(1, min(n, 28)))
+        edge = draw(st.sampled_from(["low", "high", "inside"] if width < n else ["both"]))
+        start = {"low": 0, "high": n - width, "both": 0}.get(edge)
+        if start is None:
+            start = draw(st.integers(0, n - width))
+        shape.append(n)
+        lo.append(start)
+        hi.append(start + width - 1)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    data = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+    keep = rng.random(shape) < draw(st.sampled_from([0.3, 0.9])) if draw(st.booleans()) else None
+    return data, np.array(lo), np.array(hi), keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(resampled_boxes())
+def test_resample_bytes_equal_scipy_order1_interpolation(case):
+    data, lo, hi, keep = case
+    got = crop_patch(data, lo, hi, keep=None if keep is None else keep.__getitem__)
+    masked = data if keep is None else np.where(keep, data, 0.0)
+    ref = trilinear_reference(masked, pixel_centers(lo - MARGIN, hi - lo + 1 + 2 * MARGIN))
+    assert got.dtype == data.dtype
+    assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import fields
@@ -441,6 +442,93 @@ def test_missing_config_file_is_io_failure(phantom, tmp_path, capsys):
     )
     assert rc == 3
     assert "[stage io]" in err
+
+
+@pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+def test_dump_stages_not_a_switch_word_is_config_failure(phantom, tmp_path, capsys, value):
+    # any value but 1/true/yes used to run without stage artifacts, exit 0
+    cfg = tmp_path / "seg.cfg"
+    cfg.write_text(f"v_min_um3 = 200\ndump_stages = {value}\n")
+    out = tmp_path / "out"
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--config", str(cfg),
+                     "--output-prefix", str(out), "--v-max-um3", "4000")
+    assert rc == 2
+    assert err.startswith(f"error [stage config]: {cfg}:2: dump_stages")
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("value", ["0", "false", "No"])
+def test_dump_stages_off_words_run_without_artifacts(phantom, tmp_path, capsys, value):
+    cfg = tmp_path / "seg.cfg"
+    cfg.write_text(f"dump_stages = {value}\n")
+    out = tmp_path / "out"
+    rc, _, _ = run(capsys, "segment", f"{phantom}.image.mvol.json", "--config", str(cfg),
+                   "--output-prefix", str(out), *SEG_FLAGS)
+    assert rc == 0
+    assert (tmp_path / "out.labels.raw").exists()
+    assert not list(tmp_path.glob("out.pre.*")) and not list(tmp_path.glob("out.sv.*"))
+
+
+@pytest.mark.parametrize("first", ["v_min_um3", "v-min-um3"])
+def test_repeated_config_key_is_config_failure(phantom, tmp_path, capsys, first):
+    # the last value used to win without a word: 5000 then 6000 segmented at 6000
+    cfg = tmp_path / "seg.cfg"
+    cfg.write_text(f"v_max_um3 = 24000\n{first} = 5000\n# later\nv_min_um3 = 6000\n")
+    rc, _, err = run(capsys, "segment", f"{phantom}.image.mvol.json", "--config", str(cfg),
+                     "--output-prefix", str(tmp_path / "out"))
+    assert rc == 2
+    assert err.startswith(f"error [stage config]: {cfg}:4: 'v_min_um3' is already set")
+    assert not list(tmp_path.glob("out*"))
+
+
+# The lines of a valid config file, and what an edit may put in a line: every
+# key here fails in stage config on a bad value, and the values stay small
+# enough for a 24^3 run.
+CONFIG_LINES = ["v_min_um3 = 200", "v_max_um3 = 4000", "sigma = 1", "r_cl_max = 2",
+                "classifier = heuristic", "dump_stages = yes"]
+CONFIG_KEYS = ["v_min_um3", "v-max-um3", "sigma", "r_cl_max", "r_min_um", "classifier",
+               "dump_stages", "dump-stages", "seed", "Sigma", "", "v_min_um3 v_max_um3"]
+CONFIG_VALUES = ["", "0", "-1", "1", "2", "0.5", "3", "200", "4000", "1e-300", "nan", "inf",
+                 "-inf", "1,2", "1,2,3", "1 0 1", "1,nan,1", "yes", "no", "true", "ture",
+                 "TRUE", "heuristic", "none", "cnn", "x", "=", "# 5", "0x10", "1_0"]
+
+
+@st.composite
+def edited_config(draw):
+    """The text of CONFIG_LINES with one line edited."""
+    lines = list(CONFIG_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[i].partition(" = ")
+    kind = draw(st.sampled_from(["key", "value", "duplicate", "drop", "no_equals", "text"]))
+    if kind == "key":
+        lines[i] = f"{draw(st.sampled_from(CONFIG_KEYS))} = {value}"
+    elif kind == "value":
+        lines[i] = f"{key} = {draw(st.sampled_from(CONFIG_VALUES))}"
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "no_equals":
+        lines[i] = lines[i].replace("=", draw(st.sampled_from(["", ":", " "])))
+    else:
+        lines[i] = draw(st.text(st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters="\r\n"), max_size=16))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(edited_config())
+def test_edited_config_runs_or_is_named_config_failure(phantom, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "seg.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["segment", f"{phantom}.image.mvol.json", "--config", str(cfg),
+                       "--output-prefix", str(Path(tmp) / "out")])
+    assert rc in (0, 2), err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith("error [stage config]: "), err.getvalue()
 
 
 def test_explicit_v_min_beats_radius_derivation(phantom, tmp_path, capsys):
