@@ -29,6 +29,7 @@ Errors name the stage that failed, which gives the exit code: 2 for ``config``
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -400,6 +401,9 @@ def main(argv=None) -> int:
             if getattr(args, "config", None):  # the file's lines go ahead of the flags
                 at = argv.index("segment") + 1
                 args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
+        out = getattr(args, "output_prefix", None) or getattr(args, "model_out", None)
+        if out and not os.path.isdir(os.path.dirname(out) or "."):  # before any stage runs
+            raise CliError("io", f"{out}: no such directory {os.path.dirname(out)!r}")
         return args.func(args)
     except CliError as exc:
         print(f"error [stage {exc.stage}]: {exc}", file=sys.stderr)

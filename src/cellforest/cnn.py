@@ -225,16 +225,27 @@ def init_model(
     seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> CnnModel:
-    """He fan-in normal initialization for weights, zeros for biases."""
+    """He fan-in normal initialization for weights, zeros for biases, drawn in PARAM_ORDER."""
+    model, draw_rest = _init_model(input_size, seed, rng, conv_channels, fc_units, kernel_size)
+    draw_rest()
+    return model
+
+
+def _init_model(input_size, seed, rng, conv_channels=(32, 64), fc_units=1024, kernel_size=5):
+    """:func:`init_model`'s model with its conv weights drawn, and the call drawing the rest into
+    it: ``standard_normal`` in place, times the scale, plus 0.0, is ``normal(0.0, scale)``."""
     rng = rng if rng is not None else np.random.default_rng(seed)
-    params = {}
-    for name, shape in expected_shapes(input_size, conv_channels, fc_units, kernel_size).items():
-        if name.endswith("_b"):
-            params[name] = np.zeros(shape, dtype=np.float64)
-        else:
-            fan_in = int(np.prod(shape[:-1]))
-            params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-    return CnnModel(input_size, tuple(conv_channels), fc_units, kernel_size, seed, params)
+    shapes = expected_shapes(input_size, conv_channels, fc_units, kernel_size)
+    params = {name: np.zeros(shape) for name, shape in shapes.items()}
+
+    def draw(names):
+        for w in map(params.get, names):
+            np.multiply(rng.standard_normal(out=w), np.sqrt(2.0 / math.prod(w.shape[:-1])), out=w)
+            w += 0.0  # normal's 0.0 + scale * z: no -0.0
+
+    draw(("conv1_w", "conv2_w"))
+    model = CnnModel(input_size, tuple(conv_channels), fc_units, kernel_size, seed, params)
+    return model, lambda: draw(("fc1_w", "out_w"))
 
 
 def forward(
@@ -251,17 +262,24 @@ def forward(
     return _forward(model, x, keep_prob, rng)
 
 
-def _forward(model, x, keep_prob=1.0, rng=None, cache=True):
-    """:func:`forward`; without ``cache``, (logits, None), having kept only fc1's input."""
-    x = np.asarray(x[..., None] if x.ndim == 4 else x, dtype=np.float64)
-    p, n, pooled = model.params, len(x), None
+def _pooled(p, x, cache=True):
+    """The conv stack on ``x``, :func:`workers` samples at a time: [m2, idx2, m1, idx1], or [m2]."""
+    n, pooled = len(x), None
     for lo in range(0, max(n, 1), step := workers(n)):  # an empty batch runs once, for the shapes
         m1, idx1 = conv3d_forward(x[lo : lo + step], p["conv1_w"], p["conv1_b"])
         chunk = (*conv3d_forward(m1, p["conv2_w"], p["conv2_b"]), m1, idx1)[: 4 if cache else 1]
         pooled = pooled or [np.empty((n, *a.shape[1:]), a.dtype) for a in chunk]
         for out, a in zip(pooled, chunk):
             out[lo : lo + step] = a
-    m2, idx2, m1, idx1 = pooled if cache else (*pooled, None, None, None)
+    return pooled
+
+
+def _forward(model, x, keep_prob=1.0, rng=None, cache=True, pooled=None):
+    """:func:`forward`; without ``cache``, (logits, None), keeping only fc1's input, or given it
+    as ``pooled``."""
+    x = np.asarray(x[..., None] if x.ndim == 4 else x, dtype=np.float64)
+    m2, idx2, m1, idx1 = [*(pooled or _pooled(model.params, x, cache)), None, None, None][:4]
+    p, n = model.params, len(x)
     flat = m2.reshape(n, math.prod(m2.shape[1:]))
     f1 = flat @ p["fc1_w"] + p["fc1_b"]
     rf, mask = np.maximum(f1, 0.0), None
@@ -411,7 +429,8 @@ def train(
     The trace holds the dropout-off full-set loss before training and
     after each epoch, so ``trace[0]`` is the untrained loss. Requires at
     least one example of every class. Without ``model``, a new one is
-    built for the patches' edge, ``x.shape[1]``.
+    built for the patches' edge, ``x.shape[1]``, its fc1 and output weights
+    drawn beside the untrained pass's conv stack, which needs none of them.
     """
     x = np.asarray(x, dtype=np.float64)
     classes = np.asarray(classes, dtype=np.int64)
@@ -419,12 +438,19 @@ def train(
     if len(counts) > N_CLASSES or np.any(counts[:N_CLASSES] == 0):
         raise DatasetError(f"need >= 1 example of each of {N_CLASSES} classes, got counts {counts}")
 
-    rng = np.random.default_rng(config.seed)
-    if model is None:
-        model = init_model(input_size=x.shape[1], seed=config.seed, rng=rng)
+    rng, n, x1 = np.random.default_rng(config.seed), len(classes), x.reshape(*x.shape[:4], 1)
+    model, draw_rest = (model, lambda: None) if model else _init_model(x.shape[1], config.seed, rng)
+    rows = np.empty((n, len(model.params["fc1_w"])))  # fc1's input, a row per patch
+
+    def untrained(i):  # item -1 draws a new model's fc1_w and out_w, item i pools patch i
+        if i < 0:
+            return draw_rest()
+        rows[i] = _pooled(model.params, x1[i : i + 1], cache=False)[0].ravel()
+
+    concurrent_map(untrained, range(-1, n))
+    trace = [cross_entropy(_forward(model, x, cache=False, pooled=[rows])[0], classes)[0]]
+    del rows  # kept, it pins the heap above it through the training peak (+1.4 MB RSS)
     state = AdamState()
-    trace = [mean_cross_entropy(model, x, classes)]
-    n = len(classes)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):

@@ -3,7 +3,10 @@
 import ctypes
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+
+_in_item = threading.local()  # ``busy`` on a thread while it runs concurrent_map items
 
 
 @functools.cache
@@ -22,8 +25,10 @@ def _openblas():
 
 
 def workers(n: int) -> int:
-    """Threads :func:`concurrent_map` runs ``n`` items on, at least 1 (1 without a BLAS setter)."""
-    return max(1, min(n, len(os.sched_getaffinity(0)))) if _openblas() else 1
+    """Threads :func:`concurrent_map` runs ``n`` items on, at least 1 (1 without a BLAS setter,
+    and inside a running item: a nested call runs inline, on that item's thread)."""
+    inline = getattr(_in_item, "busy", False) or not _openblas()
+    return 1 if inline else max(1, min(n, len(os.sched_getaffinity(0))))
 
 
 def concurrent_map(fn, items) -> list:
@@ -38,13 +43,14 @@ def concurrent_map(fn, items) -> list:
             out[i] = fn(item)
 
     get, put = _openblas()
-    threads = get()
+    threads, _in_item.busy = get(), True  # the calling thread runs items too
     put(1)
     try:
-        with ThreadPoolExecutor(helpers) as pool:
+        with ThreadPoolExecutor(helpers, initializer=setattr, initargs=(_in_item, "busy", True)) as pool:
             done = pool.map(work, range(helpers))
             work()
             list(done)  # a helper's exception is raised here
     finally:
         put(threads)
+        _in_item.busy = False
     return out

@@ -26,7 +26,9 @@ from .classify import CLASS_NAMES, Patch, crop_patch
 from .cnn import PATCH_SIZE, DatasetError
 from .graph import face_pairs, pair_keys
 from .preprocess import ball_offsets, gaussian_smooth
-from .volume import LabelVolume, ScalarVolume, _check_spacing, read_volume, write_volume
+from .volume import (
+    HEADER_SUFFIX, LabelVolume, ScalarVolume, _check_spacing, read_volume, write_volume
+)
 
 # Give up on site placement after this many consecutive rejected draws.
 _MAX_REJECTS = 10_000
@@ -284,6 +286,8 @@ def load_patch_dataset(dirpath: str) -> tuple[np.ndarray, np.ndarray]:
                 raise DatasetError(f"malformed index line {line!r}") from None
             if cls not in CLASS_NAMES:
                 raise DatasetError(f"unknown class name {cls!r} in index")
+            if not name.endswith(HEADER_SUFFIX):  # read_volume would add the suffix itself
+                raise DatasetError(f"index line {line!r} names no {HEADER_SUFFIX} patch header")
             entries.append((name, CLASS_NAMES.index(cls)))
     if not entries:
         raise DatasetError(f"empty dataset in {dirpath}")

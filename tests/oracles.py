@@ -519,6 +519,14 @@ def trilinear_reference(data, axes):
     return ndi.map_coordinates(data, np.stack(grid), order=1, mode="nearest")
 
 
+def init_model_reference(shapes, rng):
+    """He et al. (2015) fan-in normal weights from ``rng.normal`` and zero biases (names
+    ending ``_b``), drawn in the order of ``shapes``, a dict of name to shape."""
+    return {name: np.zeros(shape) if name.endswith("_b")
+            else rng.normal(0.0, np.sqrt(2.0 / int(np.prod(shape[:-1]))), size=shape)
+            for name, shape in shapes.items()}
+
+
 def finite_difference_grad(f, param, eps=1e-5):
     """Central finite differences of scalar f with respect to ``param``
     (modified in place entry by entry, then restored)."""

@@ -1579,6 +1579,29 @@ def test_train_missing_dataset_is_data_error(tmp_path, capsys):
     assert "[stage data]" in err
 
 
+def never(*args, **kwargs):
+    raise AssertionError("a stage ran before the output directory was checked")
+
+
+@pytest.mark.parametrize("command", ["train", "segment", "synth"])
+def test_missing_output_directory_fails_before_any_stage(
+    command, patch_dir, phantom, tmp_path, capsys, monkeypatch
+):
+    # training took 4.5 s, and a 256^3 segment about 27 s, before failing to write
+    out = tmp_path / "absent" / "out"
+    argv, stage_fn = {
+        "train": (["--dataset", str(patch_dir), "--model-out", str(out)], "train"),
+        "segment": ([f"{phantom}.image.mvol.json", "--output-prefix", str(out), *SEG_FLAGS],
+                    "segment"),
+        "synth": (["--output-prefix", str(out), "--dims", "24"], "generate_phantom"),
+    }[command]
+    monkeypatch.setattr(cli, stage_fn, never)
+    rc, _, err = run(capsys, command, *argv)
+    assert rc == 3
+    assert err == f"error [stage io]: {out}: no such directory {str(tmp_path / 'absent')!r}\n"
+    assert not (tmp_path / "absent").exists()
+
+
 def test_train_missing_class_is_data_error(patch_dir, tmp_path, capsys):
     import shutil
 

@@ -46,6 +46,7 @@ from oracles import (
     conv3d_im2col_reference,
     conv3d_reference,
     finite_difference_grad,
+    init_model_reference,
     maxpool_argmax_reference,
     maxpool_backward_reference,
     maxpool_reference,
@@ -333,6 +334,23 @@ def test_init_model_deterministic_with_zero_biases():
         np.testing.assert_array_equal(a.params[name], b.params[name])
         if name.endswith("_b"):
             assert not a.params[name].any()
+
+
+def digests(params):
+    return {name: hashlib.sha256(a).hexdigest() for name, a in params.items()}
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+@pytest.mark.parametrize("seed", range(4))
+def test_init_model_bits_and_generator_state_equal_normal_draws(size, seed):
+    # standard_normal drawn in place, times the scale, plus 0.0, is normal's loc + scale * z
+    rng = np.random.default_rng(seed)
+    want = digests(init_model_reference(expected_shapes(size, (32, 64), 1024), rng))
+    got_rng = np.random.default_rng(seed)
+    got = digests(init_model(input_size=size, seed=seed, rng=got_rng).params)
+    assert list(got) == list(PARAM_ORDER) and got == want
+    assert got_rng.bit_generator.state == rng.bit_generator.state
+    assert digests(init_model(input_size=size, seed=seed).params) == want
 
 
 def test_zero_weights_give_uniform_probabilities():
@@ -674,6 +692,17 @@ def test_train_peak_memory_beyond_the_model():
     config = TrainConfig(batch_size=2, epochs=1, seed=0)
     ratio = peak_bytes_per(lambda: train(x, np.array([0, 1, 2]), config, model=model), param_bytes)
     assert ratio < 2.5, f"train peak {ratio:.2f} x parameter bytes"
+
+
+def test_train_peak_memory_without_a_model(cpus):
+    # the new model's own bytes, then as above: the fc1 and output weights drawn beside
+    # the untrained pass keep no whole-set activations alive
+    cpus(2)
+    param_bytes = 8 * sum(map(math.prod, expected_shapes(32, (32, 64), 1024).values()))
+    x = np.random.default_rng(21).random((3, 32, 32, 32))
+    config = TrainConfig(batch_size=2, epochs=1, seed=0)
+    ratio = peak_bytes_per(lambda: train(x, np.array([0, 1, 2]), config), param_bytes) - 1
+    assert ratio < 2.5, f"train peak {ratio:.2f} x parameter bytes beyond the new model"
 
 
 # ---------------------------------------------------------------------------

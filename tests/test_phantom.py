@@ -388,6 +388,11 @@ def test_load_dataset_error_cases(tmp_path):
     with pytest.raises(DatasetError, match="unknown class"):
         load_patch_dataset(ds)
 
+    save_patch_dataset(ds, [Patch(np.zeros((32, 32, 32)))], ["under"])
+    (ds / "index.txt").write_text("patch_0000,under\n")  # the header without its suffix
+    with pytest.raises(DatasetError, match="names no .mvol.json patch header"):
+        load_patch_dataset(ds)
+
     (ds / "index.txt").write_text("\n\n")
     with pytest.raises(DatasetError, match="empty"):
         load_patch_dataset(ds)

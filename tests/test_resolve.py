@@ -262,6 +262,37 @@ def test_concurrent_map_takes_each_item_once_under_contention(cpus, fake_blas):
     assert blas.threads == 4 and blas.log == [1, 4] * 20
 
 
+@pytest.mark.parametrize("fails", [False, True])
+def test_nested_concurrent_map_runs_inline_on_the_item_thread(cpus, fake_blas, fails):
+    # a pool started inside an item would put three threads on two CPUs
+    cpus(2)
+    threads, both = set(), threading.Barrier(2, timeout=10)  # each thread takes one item
+
+    def outer(item):
+        both.wait()
+        here = (threading.get_ident(), threading.active_count(), fake_blas.threads)
+        assert here[2] == 1 and parallel.workers(8) == 1
+        inside = concurrent_map(lambda i: (threading.get_ident(), threading.active_count(),
+                                           fake_blas.threads, parallel.workers(8), i * i),
+                                [item, item + 1])
+        assert inside == [(*here, 1, item * item), (*here, 1, (item + 1) ** 2)]
+        assert fake_blas.threads == 1 and parallel.workers(8) == 1
+        threads.add(here[0])
+        if fails and item == 1:
+            raise RuntimeError("boom")
+        return [r[-1] for r in inside]
+
+    assert parallel.workers(8) == 2
+    if fails:
+        with pytest.raises(RuntimeError, match="boom"):
+            concurrent_map(outer, [0, 1])
+    else:
+        assert concurrent_map(outer, [0, 1]) == [[0, 1], [1, 4]]
+    assert len(threads) == 2
+    assert parallel.workers(8) == 2  # the calling thread's items are done
+    assert fake_blas.threads == 4 and fake_blas.log == [1, 4]  # one pin, by the outer call
+
+
 def failing_forest():
     """Root 7 = (6 = (1, 2), 3) and root 8 = (4, 5)."""
     forest = MergeForest(5)
