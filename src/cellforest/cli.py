@@ -194,8 +194,8 @@ def segment(
     all else, which must take PATCH_SIZE^3 patches) -> final labels. A given ``pre``,
     ``sv`` or ``forest`` replaces the stages that make it (``volume`` is then unused). A
     given ``pre`` must lie in [0, 1], given supervoxels must have its shape and spacing,
-    and a given forest must match their leaf voxel counts and voxel volume. Failures raise
-    :class:`CliError` naming the stage."""
+    and a given forest must match their leaf voxel counts (none at label 0) and voxel
+    volume. Failures raise :class:`CliError` naming the stage."""
     if classifier not in CLASSIFIERS:
         raise CliError("config", f"unknown classifier {classifier!r}")
     if classifier == "cnn" and not model_path:
@@ -224,8 +224,8 @@ def segment(
             forest = agglomerate(build_region_graph(sv, pre), params)
     else:
         with stage("data"):
-            counts = np.bincount(sv.labels.ravel(), minlength=forest.n_leaves + 1)[1:]
-            leaf_counts = [forest.nodes[i].voxel_count for i in range(1, forest.n_leaves + 1)]
+            counts = np.bincount(sv.labels.ravel(), minlength=forest.n_leaves + 1)
+            leaf_counts = [0] + [forest.nodes[i].voxel_count for i in range(1, forest.n_leaves + 1)]
             if not np.array_equal(counts, leaf_counts):
                 raise ValueError("forest leaf voxel counts disagree with the supervoxels")
             if any(n.volume != n.voxel_count * sv.voxel_volume for n in forest.nodes.values()):
@@ -329,6 +329,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         truth = _read_labels(args.truth)
         mask = _read_labels(args.layer_mask) if args.layer_mask else None
     with stage("eval"):
+        for path, vol in ((args.pred, pred), (args.layer_mask, mask)):
+            if vol is not None and vol.spacing != truth.spacing:
+                raise ValueError(f"spacing mismatch: {path} at {vol.spacing} um vs "
+                                 f"{args.truth} at {truth.spacing} um")
         if mask is None:
             rows = [(args.name, match_segments(pred, truth, background))]
         else:

@@ -8,9 +8,9 @@ layer with inverted dropout and a 3-class softmax head. All shapes
 generalize to smaller cubic inputs (divisible by 4), which the gradient tests use.
 
 Training is plain mini-batch ADAM, with fixed betas and epsilon, on the
-mean cross-entropy, double precision, deterministic for a fixed seed. The
-convolutions, their gradients and ADAM run through
-:func:`cellforest.parallel.concurrent_map`, with the same bits on any thread count.
+mean cross-entropy, double precision, deterministic for a fixed seed. Each
+patch's conv stack is one :func:`cellforest.parallel.concurrent_map` item, and the
+conv gradients and ADAM run through it too, with the same bits on any thread count.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     ``int8`` indices), each (n, d/2, h/2, wd/2, c_out), odd edges floored.
 
     ``x`` is (n, d, h, wd, c_in), ``w`` is (k, k, k, c_in, c_out), applied
-    as a correlation. The :func:`concurrent_map` threads take samples in
-    turn. Each computes two z-slices at a time into its own buffer: blocks
-    of whole y-lines lowered to patch matrix rows (columns (dz, dy, dx,
-    c_in)), at most ``CONV_BLOCK`` bytes unless one line is larger, each
-    multiplied into the pair; then the bias, an in-place ReLU and the pool.
-    The dot products, and so the rounding, are those of one whole-matrix
-    product, and no full-resolution output is ever whole.
+    as a correlation, on the calling thread. Each sample is computed two
+    z-slices at a time into one buffer: blocks of whole y-lines lowered to
+    patch matrix rows (columns (dz, dy, dx, c_in)), at most ``CONV_BLOCK``
+    bytes unless one line is larger, each multiplied into the pair; then the
+    bias, an in-place ReLU and the pool. The dot products, and so the
+    rounding, are those of one whole-matrix product, and no full-resolution
+    output is ever whole.
     """
     n, d, h, wd, c_in = x.shape
     k, c_out, p = w.shape[0], w.shape[4], w.shape[0] // 2
@@ -74,22 +74,17 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     blocks = -(-lines // ys)  # of near-equal size: a short tail block multiplies slower
     cuts = [slice(lines * j // blocks, lines * (j + 1) // blocks) for j in range(blocks)]
     pooled = np.empty((n, d // 2, h // 2, wd // 2, c_out))
-    idx, samples = np.empty(pooled.shape, np.int8), iter(range(n))
-
-    def run(_):
-        rows = np.empty((min(ys, lines), wd, k, k, k, c_in))
-        pair = np.empty((1, 2, lines, wd, c_out))
-        for i in samples:
-            for z in range(0, d - 1, 2):
-                for dz, at in product((0, 1), cuts):
-                    block = rows[: at.stop - at.start]
-                    np.copyto(block, win[i, z + dz, at].transpose(0, 1, 3, 4, 5, 2))
-                    np.matmul(block.reshape(-1, len(wm)), wm, out=pair[0, dz, at].reshape(-1, c_out))
-                pair += b
-                m, j = maxpool3d_forward(np.maximum(pair, 0.0, out=pair)[..., : wd // 2 * 2, :])
-                pooled[i, z // 2], idx[i, z // 2] = m[0, 0], j[0, 0]
-
-    concurrent_map(run, range(workers(n)))
+    idx = np.empty(pooled.shape, np.int8)
+    rows = np.empty((min(ys, lines), wd, k, k, k, c_in))
+    pair = np.empty((1, 2, lines, wd, c_out))
+    for i, z in product(range(n), range(0, d - 1, 2)):
+        for dz, at in product((0, 1), cuts):
+            block = rows[: at.stop - at.start]
+            np.copyto(block, win[i, z + dz, at].transpose(0, 1, 3, 4, 5, 2))
+            np.matmul(block.reshape(-1, len(wm)), wm, out=pair[0, dz, at].reshape(-1, c_out))
+        pair += b
+        m, j = maxpool3d_forward(np.maximum(pair, 0.0, out=pair)[..., : wd // 2 * 2, :])
+        pooled[i, z // 2], idx[i, z // 2] = m[0, 0], j[0, 0]
     return pooled, idx
 
 
@@ -255,43 +250,37 @@ def forward(
 
     ``x`` is (n, s, s, s) or (n, s, s, s, 1). Dropout is applied at the
     fc1 output exactly when ``keep_prob`` < 1, drawn from ``rng``, with
-    inverted scaling so inference needs no rescale. The conv stack runs on
-    :func:`workers` samples at a time, each :func:`conv3d_forward` pooling its
-    convolution as it computes it; the cache keeps the pooled maps, n-sized arrays.
+    inverted scaling so inference needs no rescale. The conv stack runs one
+    :func:`concurrent_map` item per patch; the cache keeps the pooled maps.
     """
-    return _forward(model, x, keep_prob, rng)
-
-
-def _pooled(p, x, cache=True):
-    """The conv stack on ``x``, :func:`workers` samples at a time: [m2, idx2, m1, idx1], or [m2]."""
-    n, pooled = len(x), None
-    for lo in range(0, max(n, 1), step := workers(n)):  # an empty batch runs once, for the shapes
-        m1, idx1 = conv3d_forward(x[lo : lo + step], p["conv1_w"], p["conv1_b"])
-        chunk = (*conv3d_forward(m1, p["conv2_w"], p["conv2_b"]), m1, idx1)[: 4 if cache else 1]
-        pooled = pooled or [np.empty((n, *a.shape[1:]), a.dtype) for a in chunk]
-        for out, a in zip(pooled, chunk):
-            out[lo : lo + step] = a
-    return pooled
-
-
-def _forward(model, x, keep_prob=1.0, rng=None, cache=True, pooled=None):
-    """:func:`forward`; without ``cache``, (logits, None), keeping only fc1's input, or given it
-    as ``pooled``."""
+    if keep_prob < 1.0 and rng is None:
+        raise ValueError("dropout (keep_prob < 1) needs an rng")
     x = np.asarray(x[..., None] if x.ndim == 4 else x, dtype=np.float64)
-    m2, idx2, m1, idx1 = [*(pooled or _pooled(model.params, x, cache)), None, None, None][:4]
     p, n = model.params, len(x)
+    maps = concurrent_map(lambda i: _stack(p, x[i : i + 1]), range(n)) or [_stack(p, x)]
+    m1, idx1, m2, idx2 = map(np.concatenate, zip(*maps))  # an empty batch ran once, for the shapes
     flat = m2.reshape(n, math.prod(m2.shape[1:]))
+    mask = (rng.random((n, len(p["fc1_b"]))) < keep_prob) / keep_prob if keep_prob < 1.0 else None
+    logits, f1, dropped = _head(p, flat, mask)
+    return logits, (x, m1, idx1, m2, idx2, flat, f1, mask, dropped)
+
+
+def _stack(p, x):
+    """The conv stack on ``x``: (m1, idx1, m2, idx2), each layer's pooled maps and indices."""
+    m1, idx1 = conv3d_forward(x, p["conv1_w"], p["conv1_b"])
+    return (m1, idx1, *conv3d_forward(m1, p["conv2_w"], p["conv2_b"]))
+
+
+def _head(p, flat, mask):
+    """fc1 on its input rows ``flat``, ReLU, dropout by ``mask`` (None: off) and the output
+    layer: (logits, f1, the dropped fc1 output), the logits checked finite."""
     f1 = flat @ p["fc1_w"] + p["fc1_b"]
-    rf, mask = np.maximum(f1, 0.0), None
-    if keep_prob < 1.0:
-        if rng is None:
-            raise ValueError("dropout (keep_prob < 1) needs an rng")
-        mask = (rng.random(rf.shape) < keep_prob) / keep_prob
+    rf = np.maximum(f1, 0.0)
     dropped = rf if mask is None else rf * mask
     logits = dropped @ p["out_w"] + p["out_b"]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits; check model parameters")
-    return logits, (x, m1, idx1, m2, idx2, flat, f1, mask, dropped) if cache else None
+    return logits, f1, dropped
 
 
 class OuterProduct:
@@ -413,9 +402,19 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         concurrent_map(update, np.array_split(blocks, workers(len(blocks))))
 
 
-def mean_cross_entropy(model: CnnModel, x: np.ndarray, classes: np.ndarray) -> float:
-    """Full-set dropout-off cross-entropy (the loss-trace metric), keeping only fc1's input."""
-    return cross_entropy(_forward(model, x, cache=False)[0], classes)[0]
+def mean_cross_entropy(model: CnnModel, x: np.ndarray, classes: np.ndarray, beside=None) -> float:
+    """Full-set dropout-off cross-entropy (the loss-trace metric), keeping only fc1's input: a
+    :func:`concurrent_map` item per patch writes its row, and ``beside()``, given, is one more."""
+    p, x = model.params, np.asarray(x, dtype=np.float64)
+    x, rows = x.reshape(*x.shape[:4], 1), np.empty((len(x), len(p["fc1_w"])))
+
+    def item(i):
+        if i < 0:
+            return beside()
+        rows[i] = _stack(p, x[i : i + 1])[2].ravel()
+
+    concurrent_map(item, range(-(beside is not None), len(x)))
+    return cross_entropy(_head(p, rows, None)[0], classes)[0]
 
 
 def train(
@@ -430,7 +429,8 @@ def train(
     after each epoch, so ``trace[0]`` is the untrained loss. Requires at
     least one example of every class. Without ``model``, a new one is
     built for the patches' edge, ``x.shape[1]``, its fc1 and output weights
-    drawn beside the untrained pass's conv stack, which needs none of them.
+    drawn as the ``beside`` item of ``trace[0]``'s :func:`mean_cross_entropy`,
+    whose conv stack needs none of them.
     """
     x = np.asarray(x, dtype=np.float64)
     classes = np.asarray(classes, dtype=np.int64)
@@ -438,18 +438,9 @@ def train(
     if len(counts) > N_CLASSES or np.any(counts[:N_CLASSES] == 0):
         raise DatasetError(f"need >= 1 example of each of {N_CLASSES} classes, got counts {counts}")
 
-    rng, n, x1 = np.random.default_rng(config.seed), len(classes), x.reshape(*x.shape[:4], 1)
-    model, draw_rest = (model, lambda: None) if model else _init_model(x.shape[1], config.seed, rng)
-    rows = np.empty((n, len(model.params["fc1_w"])))  # fc1's input, a row per patch
-
-    def untrained(i):  # item -1 draws a new model's fc1_w and out_w, item i pools patch i
-        if i < 0:
-            return draw_rest()
-        rows[i] = _pooled(model.params, x1[i : i + 1], cache=False)[0].ravel()
-
-    concurrent_map(untrained, range(-1, n))
-    trace = [cross_entropy(_forward(model, x, cache=False, pooled=[rows])[0], classes)[0]]
-    del rows  # kept, it pins the heap above it through the training peak (+1.4 MB RSS)
+    rng, n = np.random.default_rng(config.seed), len(classes)
+    model, draw_rest = (model, None) if model else _init_model(x.shape[1], config.seed, rng)
+    trace = [mean_cross_entropy(model, x, classes, draw_rest)]
     state = AdamState()
     for _ in range(config.epochs):
         order = rng.permutation(n)

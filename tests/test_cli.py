@@ -31,7 +31,7 @@ from cellforest import cli, parallel
 from cellforest.classify import CLASS_NAMES
 from cellforest.cli import CliError, load_config, main, segment
 from cellforest.cnn import TrainConfig
-from cellforest.merging import MergeParams, load_forest
+from cellforest.merging import MergeForest, MergeParams, load_forest, save_forest
 from cellforest.metrics import match_segments
 from cellforest.phantom import PhantomParams, generate_phantom
 from cellforest.preprocess import PreprocessParams
@@ -1361,6 +1361,27 @@ def test_supervoxels_of_another_spacing_are_data_error(forest_runs, tmp_path, ca
     assert err.startswith("error [stage data]:")
 
 
+@pytest.mark.parametrize("forest", [True, False], ids=["forest_in", "merged"])
+def test_supervoxels_with_label_zero_are_refused(tmp_path, capsys, forest):
+    # two label-0 voxels used to pass a given forest whose leaf counts matched the
+    # labels 1 and 2 (exit 0, labels {0, 1, 2}); merging from them fails in merge
+    labels = np.ones((8, 8, 8), np.uint32)
+    labels[4:] = 2
+    labels[0, 0, :2] = 0
+    pre = write_volume(ScalarVolume(np.full(labels.shape, 0.5, np.float32)), str(tmp_path / "pre"))
+    sv = write_volume(LabelVolume(labels), str(tmp_path / "sv"))
+    leaves = MergeForest(2)
+    for leaf in (1, 2):
+        leaves.add_leaf(leaf, int((labels == leaf).sum()), float((labels == leaf).sum()))
+    save_forest(leaves, str(tmp_path / "forest.txt"))
+    given = ["--forest-in", str(tmp_path / "forest.txt")] if forest else []
+    rc, _, err = run(capsys, "segment", "--preprocessed-in", pre, "--supervoxels-in", sv,
+                     *given, "--output-prefix", str(tmp_path / "out"), *FOREST_FLAGS)
+    assert rc == 4
+    assert err.startswith(f"error [stage {'data' if forest else 'merge'}]:"), err
+    assert not (tmp_path / "out.labels.mvol.json").exists()
+
+
 @pytest.mark.parametrize("classifier", ["none", "heuristic"])
 def test_preprocessed_volume_outside_unit_range_is_data_error(
     phantom, tmp_path, capsys, classifier
@@ -1473,6 +1494,22 @@ def test_eval_layer_mask_that_splits_a_cell_is_eval_error(tmp_path, capsys):
     assert rc == 4
     assert err.startswith("error [stage eval]:")
     assert "truth cell 1 " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("pair", ["pred", "layer_mask"])
+def test_eval_spacing_mismatch_is_eval_error(phantom, tmp_path, capsys, pair):
+    # a pred at 1 um against a truth at 2 um of the same dims used to score F 1.000,
+    # and so did a layer mask at 3 um
+    truth = read_volume(f"{phantom}.truth.mvol.json")
+    paths = {name: write_volume(LabelVolume(truth.labels, (s, s, s)), str(tmp_path / name))
+             for name, s in (("pred", 1.0), ("truth", 2.0), ("layer_mask", 3.0))}
+    paths["pred" if pair == "layer_mask" else "layer_mask"] = paths["truth"]
+    rc, out, err = run(capsys, "eval", paths["pred"], paths["truth"], "--layer-mask",
+                       paths["layer_mask"])
+    assert rc == 4
+    assert err.startswith("error [stage eval]: spacing mismatch: ")
+    assert paths[pair] in err and paths["truth"] in err
     assert out == ""
 
 

@@ -435,7 +435,8 @@ def test_dropout_requires_rng_in_training_mode():
 
 @pytest.mark.parametrize("blas", [True, False], ids=["blas_setter", "no_blas_setter"])
 def test_forward_on_an_empty_batch_gives_no_logits(monkeypatch, two_cpus, blas):
-    # workers(0) was 0 with a BLAS setter, and the chunk loop's step with it
+    # workers(0) was 0 with a BLAS setter, and a chunk loop's step with it; an
+    # empty batch runs the conv stack once, on the empty array, for the shapes
     if not blas:
         monkeypatch.setattr(parallel, "_openblas", lambda: None)
     model, x = init_model(input_size=8), np.zeros((0, 8, 8, 8))
@@ -555,8 +556,8 @@ def test_predict_peak_memory_per_patch():
 
 
 def test_loss_trace_grows_by_a_pooled_map_per_patch(cpus):
-    # the trace keeps only fc1's input rows (0.26 MB a patch) and one chunk's
-    # convolution outputs; a whole-set forward grew 11.7 MB a patch
+    # the trace keeps only fc1's input rows (0.26 MB a patch) and each thread's
+    # one-patch convolution outputs; a whole-set forward grew 11.7 MB a patch
     cpus(2)
     model = init_model(seed=4)
 
@@ -754,16 +755,16 @@ def whole_batch_forward(model, x, keep_prob, rng):
 @pytest.mark.parametrize("n_cpus", [2, 8])
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
 def test_forward_in_chunks_bit_equal_to_whole_batch(crowded, cpus, n_cpus, n):
-    # two CPUs: chunks of two samples (of one without a BLAS setter), an odd
-    # n ending in one sample; eight: one chunk of n samples, on n threads
+    # each patch's conv stack is one concurrent_map item: every conv3d_forward
+    # call takes one patch, on two threads or on min(n, 8)
     cpus(n_cpus)
     model = init_model(input_size=8, seed=n)
     x = np.random.default_rng(n).random((n, 8, 8, 8))
-    chunks, conv = [], cnn_module.conv3d_forward
-    spy = lambda a, w, b: chunks.append(len(a)) or conv(a, w, b)
+    patches, conv = [], cnn_module.conv3d_forward
+    spy = lambda a, w, b: patches.append(len(a)) or conv(a, w, b)
     crowded.setattr(cnn_module, "conv3d_forward", spy)
     logits, cache = forward(model, x, 0.6, np.random.default_rng(1))
-    assert sum(chunks) == 2 * n and max(chunks) == parallel.workers(n)
+    assert patches == [1] * (2 * n)
     want = whole_batch_forward(model, x, 0.6, np.random.default_rng(1))
     for got, ref in zip((logits, *cache), want, strict=True):
         assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -772,6 +773,26 @@ def test_forward_in_chunks_bit_equal_to_whole_batch(crowded, cpus, n_cpus, n):
     no_dropout = whole_batch_forward(model, x, 1.0, np.random.default_rng(1))[0]
     assert mean_cross_entropy(model, x, classes) == cross_entropy(no_dropout, classes)[0]
     assert np.array_equal(predict_probs(model, x), softmax(no_dropout))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_forward_and_loss_trace_concurrently_bit_equal(crowded, n):
+    # a patch per item, and the loss trace's beside item drawing on its own generator
+    model = init_model(input_size=8, seed=30 + n)
+    x, classes = np.random.default_rng(n).random((n, 8, 8, 8)), np.arange(n) % 3
+
+    def both():
+        drawn = []
+        beside = lambda: drawn.append(np.random.default_rng(n).standard_normal(4096))
+        logits, cache = forward(model, x, 0.6, np.random.default_rng(1))
+        return [logits, *cache], mean_cross_entropy(model, x, classes, beside), drawn
+
+    (maps, loss, drawn), (maps_alone, loss_alone, drawn_alone) = both_ways(crowded, both)
+    assert len(drawn) == len(drawn_alone) == 1 and np.array_equal(drawn[0], drawn_alone[0])
+    assert loss == loss_alone == mean_cross_entropy(model, x, classes)
+    for got, ref in zip(maps, maps_alone, strict=True):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
 
 
 @pytest.mark.parametrize("input_grad", [True, False])

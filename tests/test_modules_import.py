@@ -21,10 +21,13 @@ THREAD_NAMES = {"sched_getaffinity", "ThreadPoolExecutor", "threading"}
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "cellforest").glob("*.py"))
 
 
-def referred_names(path):
-    """Every name, attribute and imported module part in the source at ``path``."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+def referred_names(path, function=None):
+    """Every name, attribute and imported module part in the source at ``path``, or in its
+    top-level ``function``."""
+    tree, names = ast.parse(path.read_text()), set()
+    if function:
+        tree = next(f for f in tree.body if getattr(f, "name", None) == function)
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -41,6 +44,13 @@ def test_only_parallel_starts_threads(path):
     # scheme elsewhere would have to size its work and pin BLAS on its own
     names = referred_names(path)
     assert path.name == "parallel.py" or not names & THREAD_NAMES, sorted(names & THREAD_NAMES)
+
+
+def test_conv_layer_starts_no_concurrency():
+    # forward and the loss trace map the conv stack a patch per item; a layer that
+    # split its own samples too would nest a second split inside theirs
+    names = referred_names(SOURCES[0].parent / "cnn.py", "conv3d_forward")
+    assert "matmul" in names and not names & {"concurrent_map", "workers"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
