@@ -130,6 +130,17 @@ def crop_patch(data: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                              - 0.5 - w0[a] for a in range(3)])
 
 
+def union_box(boxes: list, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive (lo, hi) corners, (z, y, x) order, of the union of the boxes of
+    ``labels``, where ``boxes = ndi.find_objects(volume)``. Labels without voxels are
+    skipped; ValueError, naming ``name``, if no label has any."""
+    found = [boxes[i - 1] for i in labels if 0 < i <= len(boxes) and boxes[i - 1]]
+    if not found:
+        raise ValueError(f"{name} covers no voxels")
+    lo = np.min([[s.start for s in box] for box in found], axis=0)
+    return lo, np.max([[s.stop for s in box] for box in found], axis=0) - 1
+
+
 def extract_patch(
     v: ScalarVolume,
     forest: MergeForest,
@@ -146,11 +157,7 @@ def extract_patch(
     otherwise the raw surrounding context is kept.
     """
     leaves = forest.leaves_under(node_id)
-    found = [boxes[i - 1] for i in leaves if 0 < i <= len(boxes) and boxes[i - 1]]
-    if not found:
-        raise ValueError(f"forest node {node_id} covers no voxels")
-    lo = np.min([[s.start for s in box] for box in found], axis=0)
-    hi = np.max([[s.stop for s in box] for box in found], axis=0) - 1
+    lo, hi = union_box(boxes, leaves, f"forest node {node_id}")
     member = np.bincount(leaves, minlength=len(boxes) + 1) > 0  # a table indexed by label
     keep = (lambda w: member[supervoxels.labels[w]]) if mask_background else None
     return Patch(np.ascontiguousarray(crop_patch(v.data, lo, hi, keep=keep)))

@@ -224,9 +224,10 @@ def segment(
             forest = agglomerate(build_region_graph(sv, pre), params)
     else:
         with stage("data"):
-            counts = np.bincount(sv.labels.ravel(), minlength=forest.n_leaves + 1)
             leaf_counts = [0] + [forest.nodes[i].voxel_count for i in range(1, forest.n_leaves + 1)]
-            if not np.array_equal(counts, leaf_counts):
+            # an id above n_leaves fails before it sizes the bincount
+            if int(sv.labels.max()) > forest.n_leaves or not np.array_equal(
+                    np.bincount(sv.labels.ravel(), minlength=forest.n_leaves + 1), leaf_counts):
                 raise ValueError("forest leaf voxel counts disagree with the supervoxels")
             if any(n.volume != n.voxel_count * sv.voxel_volume for n in forest.nodes.values()):
                 raise ValueError(f"forest node volumes are not voxel counts x {sv.voxel_volume} um3")

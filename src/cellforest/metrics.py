@@ -37,81 +37,69 @@ def _finish(matches, tp, fp, fn) -> MatchReport:
     return MatchReport(matches, tp, fp, fn, precision, recall, f)
 
 
-def match_segments(
-    pred: LabelVolume,
-    truth: LabelVolume,
-    background_truth_labels: frozenset[int] = frozenset(),
-) -> MatchReport:
+def _runs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (a, b) pairs over the voxels of two label arrays, sorted, and their
+    voxel counts, from one uint64 key ``a * (max b + 1) + b`` per voxel sorted in place."""
+    span = np.uint64(int(b.max(initial=0)) + 1)
+    if (int(a.max(initial=0)) + 1) * int(span) > 2**64:  # never for u32 ids
+        raise ValueError("label ids too large for 64-bit pair keys")
+    keys = np.multiply(a.ravel(), span, dtype=np.uint64, casting="unsafe")
+    np.add(keys, b.ravel(), out=keys, dtype=np.uint64, casting="unsafe")
+    keys.sort()
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return *np.divmod(keys[starts], span), np.diff(np.r_[starts, keys.size])
+
+
+def _foreground(ids: np.ndarray, background: frozenset[int]) -> np.ndarray:
+    """Which of the uint64 ``ids`` are neither 0 nor listed in ``background``."""
+    return ~np.isin(ids, np.array([b for b in {0, *background} if 0 <= b < 2**64], np.uint64))
+
+
+def match_segments(pred: LabelVolume, truth: LabelVolume,
+                   background_truth_labels: frozenset[int] = frozenset()) -> MatchReport:
     """Score a predicted labeling against truth by IoU > 0.5 matching.
 
     Segment sizes and intersections are measured over foreground truth
     voxels only. Predicted label 0 is treated as "no segment": its
     voxels can cost recall but never count as a false-positive segment.
+    Any u32 ids are scored, in memory that follows the voxel count: sizes,
+    IoUs and matches come from the runs of sorted (pred, truth) keys.
     """
     if pred.labels.shape != truth.labels.shape:
-        raise ValueError(
-            f"dims mismatch: pred {pred.labels.shape} vs truth {truth.labels.shape}"
-        )
-    # one int64 (pred, truth) key per voxel, sorted in place; truth background sorts first as -1
-    t, t_span = truth.labels.ravel(), int(truth.labels.max(initial=0)) + 1
-    keys = np.multiply(pred.labels.ravel(), t_span, dtype=np.int64)
-    keys += t
-    for bg in {0, *background_truth_labels}:
-        np.copyto(keys, -1, where=t == bg)
-    keys.sort()
-    keys = keys[np.searchsorted(keys, 0) :]
-    if keys.size == 0:
-        return _finish([], 0, 0, 0)
-
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    inter = np.diff(np.r_[starts, keys.size])
-    pk, tk = np.divmod(keys[starts], t_span)
-    pred_sizes, truth_sizes = np.bincount(pk, inter), np.bincount(tk, inter)  # exact float counts
-    n_truth, n_pred = int(np.count_nonzero(truth_sizes)), int(np.count_nonzero(pred_sizes[1:]))
-
-    matches = []
-    for pi, ti, n in zip(pk, tk, inter):
-        if pi == 0:
-            continue
-        iou = n / (pred_sizes[pi] + truth_sizes[ti] - n)
-        if iou > 0.5:
-            matches.append((int(pi), int(ti), int(n), float(iou)))
+        raise ValueError(f"dims mismatch: pred {pred.labels.shape} vs truth {truth.labels.shape}")
+    pk, tk, inter = _runs(pred.labels, truth.labels)
+    fg = _foreground(tk, background_truth_labels)
+    pk, tk, inter = pk[fg], tk[fg], inter[fg]
+    p_ids, p_of = np.unique(pk, return_inverse=True)
+    t_ids, t_of = np.unique(tk, return_inverse=True)
+    iou = inter / (np.bincount(p_of, inter)[p_of] + np.bincount(t_of, inter)[t_of] - inter)
+    hit = (pk != 0) & (iou > 0.5)  # the sizes are exact float counts
+    matches = list(zip(pk[hit].tolist(), tk[hit].tolist(), inter[hit].tolist(), iou[hit].tolist()))
     tp = len(matches)
-    return _finish(matches, tp, n_pred - tp, n_truth - tp)
+    return _finish(matches, tp, int(np.count_nonzero(p_ids)) - tp, t_ids.size - tp)
 
 
-def layer_report(
-    pred: LabelVolume,
-    truth: LabelVolume,
-    layer_mask: LabelVolume,
-    background_truth_labels: frozenset[int] = frozenset(),
-) -> dict[int, MatchReport]:
-    """Per-layer scores: truth cells outside a layer become background,
-    so predicted segments are measured only within that layer.
+def layer_report(pred: LabelVolume, truth: LabelVolume, layer_mask: LabelVolume,
+                 background_truth_labels: frozenset[int] = frozenset()) -> dict[int, MatchReport]:
+    """Per-layer scores: :func:`match_segments` with the truth cells of the other
+    layers (0 included) added to the background, so predicted segments are measured
+    only within the layer.
 
     ``layer_mask`` must paint each foreground truth cell with a single
     layer id, else ValueError; id 0 means unassigned and is never scored.
     """
-    if layer_mask.labels.shape != truth.labels.shape:
-        raise ValueError("layer_mask dims must match truth")
-    t, m = truth.labels.ravel(), layer_mask.labels.ravel()
-    fg = (t != 0) & ~np.isin(t, list(background_truth_labels))
-    layer_of = np.zeros(int(t.max()) + 1, dtype=m.dtype)
-    layer_of[t[fg]] = m[fg]  # one of each cell's ids: any other one differs from it
-    split = t[fg & (layer_of[t] != m)]
+    if not pred.labels.shape == layer_mask.labels.shape == truth.labels.shape:
+        raise ValueError(f"dims mismatch: pred {pred.labels.shape}, layer_mask "
+                         f"{layer_mask.labels.shape} vs truth {truth.labels.shape}")
+    cell, layer, _ = _runs(truth.labels, layer_mask.labels)
+    fg = _foreground(cell, background_truth_labels)
+    cells, layers = cell[fg], layer[fg]
+    split = cells[1:][cells[1:] == cells[:-1]]
     if split.size:
         raise ValueError(f"layer_mask gives truth cell {split[0]} more than one layer id")
-    reports = {}
-    for layer in np.unique(layer_mask.labels):
-        if layer == 0:
-            continue
-        restricted = np.where(layer_mask.labels == layer, truth.labels, 0)
-        reports[int(layer)] = match_segments(
-            pred,
-            LabelVolume(restricted.astype(np.uint32), truth.spacing),
-            background_truth_labels,
-        )
-    return reports
+    others = {n: frozenset(cells[layers != n].tolist()) for n in np.unique(layer) if n != 0}
+    return {int(n): match_segments(pred, truth, background_truth_labels | others[n])
+            for n in others}
 
 
 def format_table(rows: list[tuple[str, MatchReport]]) -> str:

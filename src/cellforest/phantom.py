@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from .classify import CLASS_NAMES, Patch, crop_patch
+from .classify import CLASS_NAMES, Patch, crop_patch, union_box
 from .cnn import PATCH_SIZE, DatasetError
 from .graph import face_pairs, pair_keys
 from .preprocess import ball_offsets, gaussian_smooth
@@ -170,11 +170,6 @@ def _touching_pairs(labels: np.ndarray) -> list[tuple[int, int]]:
     return list(zip((keys // base).tolist(), (keys % base).tolist()))
 
 
-def _coords_patch(v: ScalarVolume, member: np.ndarray) -> np.ndarray:
-    coords = np.argwhere(member)
-    return crop_patch(v.data, coords.min(axis=0), coords.max(axis=0))
-
-
 def generate_patch_dataset(
     params: PhantomParams, v: ScalarVolume, gt: LabelVolume, per_class: int = 20
 ) -> tuple[list[Patch], list[str]]:
@@ -183,8 +178,9 @@ def generate_patch_dataset(
 
     correct = a whole ground-truth cell; over = a random proper fragment
     of a cell (cut by a plane through its centroid); under = the union
-    of 2-3 touching cells. Returns (patches, class names) aligned by
-    index.
+    of 2-3 touching cells. Each is cropped, as :func:`extract_patch` crops a
+    node, around the union of its cells' boxes (a fragment's own box for
+    "over"). Returns (patches, class names) aligned by index.
     """
     if per_class < 1:
         raise ValueError("need at least one patch per class")
@@ -197,6 +193,7 @@ def generate_patch_dataset(
         neighbors.setdefault(a, set()).add(b)
         neighbors.setdefault(b, set()).add(a)
 
+    boxes = ndi.find_objects(labels)
     rng = np.random.default_rng(params.seed + 1)
     patches: list[Patch] = []
     classes: list[str] = []
@@ -208,31 +205,31 @@ def generate_patch_dataset(
             extra = sorted((neighbors[a] | neighbors[b]) - group)
             if extra:
                 group.add(extra[int(rng.integers(len(extra)))])
-        member = np.isin(labels, sorted(group))
-        patches.append(Patch(_coords_patch(v, member)))
+        patches.append(Patch(crop_patch(v.data, *union_box(boxes, sorted(group), "cell union"))))
         classes.append("under")
 
     for _ in range(per_class):
         c = int(rng.integers(params.n_cells)) + 1
-        patches.append(Patch(_coords_patch(v, labels == c)))
+        patches.append(Patch(crop_patch(v.data, *union_box(boxes, [c], f"truth cell {c}"))))
         classes.append("correct")
 
     for _ in range(per_class):
-        frag = _random_fragment(labels, params.n_cells, rng)
-        patches.append(Patch(_coords_patch(v, frag)))
+        lo, hi = _random_fragment(labels, boxes, params.n_cells, rng)
+        patches.append(Patch(crop_patch(v.data, lo, hi)))
         classes.append("over")
     return patches, classes
 
 
 def _random_fragment(
-    labels: np.ndarray, n_cells: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Nonempty proper subset of one cell: the cell's voxels on one side
-    of a random plane through its centroid."""
+    labels: np.ndarray, boxes: list, n_cells: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive (lo, hi) box of a nonempty proper subset of one cell, its voxels on
+    one side of a random plane through its centroid, read from the cell's box only."""
     for _ in range(100):
         c = int(rng.integers(n_cells)) + 1
-        member = labels == c
-        coords = np.argwhere(member)
+        if c > len(boxes) or boxes[c - 1] is None:
+            continue
+        coords = np.argwhere(labels[boxes[c - 1]] == c) + [s.start for s in boxes[c - 1]]
         if len(coords) < 2:
             continue
         normal = rng.normal(size=3)
@@ -240,10 +237,8 @@ def _random_fragment(
         side = (coords - coords.mean(axis=0)) @ normal > 0
         if not side.any() or side.all():
             continue
-        frag = np.zeros(labels.shape, dtype=bool)
         keep = coords[side]
-        frag[keep[:, 0], keep[:, 1], keep[:, 2]] = True
-        return frag
+        return keep.min(axis=0), keep.max(axis=0)
     raise DatasetError("could not cut a proper cell fragment; cells too small")
 
 

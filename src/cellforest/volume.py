@@ -170,19 +170,6 @@ def read_volume(path: str) -> Volume:
     return ScalarVolume(arr, spacing)
 
 
-def _dtype_code(arr: np.ndarray, is_labels: bool) -> str:
-    if is_labels:
-        return _LABEL_CODE
-    kind = arr.dtype
-    if kind == np.uint8:
-        return "u8"
-    if kind == np.uint16:
-        return "u16"
-    if kind in (np.dtype(np.float32), np.dtype(np.float64)):
-        return "f32"
-    raise VolumeFormatError(f"no MVOL dtype for array dtype {arr.dtype}")
-
-
 def write_volume(v: Volume, path: str) -> str:
     """Write an MVOL pair; returns the header path.
 
@@ -192,9 +179,13 @@ def write_volume(v: Volume, path: str) -> str:
     header_path = _header_path(path)
     base = os.path.basename(header_path)[: -len(HEADER_SUFFIX)]
     data_name = base + ".raw"
-    is_labels = isinstance(v, LabelVolume)
-    arr = v.labels if is_labels else v.data
-    code = _dtype_code(arr, is_labels)
+    if isinstance(v, LabelVolume):
+        arr, code = v.labels, _LABEL_CODE
+    else:
+        arr, codes = v.data, {dt: c for c, dt in _DTYPE_CODES.items() if c != _LABEL_CODE}
+        code = {**codes, np.dtype("<f8"): "f32"}.get(arr.dtype)
+        if code is None:
+            raise VolumeFormatError(f"no MVOL dtype for array dtype {arr.dtype}")
     out = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
 
     nx, ny, nz = v.dims

@@ -570,3 +570,13 @@ def match_reference(pred, truth, background=frozenset()):
     recall = tp / (tp + fn) if tp + fn else 1.0
     f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return matches, tp, fp, fn, precision, recall, f
+
+
+def layer_reference(pred, truth, layer_mask, background=frozenset()):
+    """Per-layer ``match_reference``: for each nonzero id of the mask, truth
+    voxels outside that layer are zeroed."""
+    truth, layer_mask = np.asarray(truth), np.asarray(layer_mask)
+    return {
+        int(layer): match_reference(pred, np.where(layer_mask == layer, truth, 0), background)
+        for layer in np.unique(layer_mask) if layer != 0
+    }

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import cellforest.classify as classify_module
@@ -36,6 +36,8 @@ from cellforest.metrics import match_segments
 from cellforest.phantom import PhantomParams, generate_phantom
 from cellforest.preprocess import PreprocessParams
 from cellforest.volume import LabelVolume, ScalarVolume, read_volume, write_volume
+from checks import peak_bytes_per
+from oracles import layer_reference, match_reference
 from test_volume import MISTYPED_HEADER_VALUES
 
 
@@ -1416,6 +1418,43 @@ def test_library_segment_checks_resumed_artifacts(forest_runs):
         assert (exc.value.stage, exc.value.code) == ("data", 4)
 
 
+@pytest.mark.parametrize("classifier", ["none", "heuristic"])
+def test_whole_run_peak_memory_per_voxel(cpus, classifier):
+    # the segment_96 kind at 64^3 (27 cells), input f32 as read from MVOL, above
+    # which the run measured 39.0-39.6 bytes per voxel under either classifier:
+    # one more f64 volume kept alive through the run fails
+    cpus(2)
+    img, _ = generate_phantom(PhantomParams(dims=(64, 64, 64), n_cells=27, membrane_width=2,
+                                            attenuation=0.99, noise_sigma=0.05,
+                                            blur_sigma=0.6, seed=1))
+    vol = ScalarVolume(img.data.astype(np.float32), img.spacing)
+    params = MergeParams(v_min=5000.0, v_max=24000.0)
+    per_voxel = peak_bytes_per(lambda: segment(vol, params, classifier=classifier), vol.data.size)
+    assert per_voxel <= 40.5, f"segment peak {per_voxel:.1f} bytes per voxel"
+
+
+def test_resumed_supervoxel_id_above_the_leaves_fails_before_counting(tmp_path):
+    # one id 2**24 in 8 supervoxels sized a 134 MB bincount before the check failed
+    labels = np.arange(1, 9, dtype=np.uint32).reshape(2, 2, 2)
+    labels[1, 1, 1] = 2**24
+    forest = MergeForest(8)
+    for leaf in range(1, 9):
+        forest.add_leaf(leaf, 1, 1.0)
+    forest.roots = list(range(1, 9))
+    pre, sv = ScalarVolume(np.full((2, 2, 2), 0.5)), LabelVolume(labels)
+    errors = []
+
+    def resume():
+        try:
+            segment(None, MergeParams(v_min=1.0, v_max=8.0), pre=pre, sv=sv, forest=forest)
+        except CliError as exc:
+            errors.append(exc)
+
+    assert peak_bytes_per(resume) < 1_000_000
+    assert [(e.stage, e.code) for e in errors] == [("data", 4)]
+    assert "leaf voxel counts disagree" in str(errors[0])
+
+
 # ---------------------------------------------------------------------------
 # evaluation command
 
@@ -1511,6 +1550,112 @@ def test_eval_spacing_mismatch_is_eval_error(phantom, tmp_path, capsys, pair):
     assert err.startswith("error [stage eval]: spacing mismatch: ")
     assert paths[pair] in err and paths["truth"] in err
     assert out == ""
+
+
+def test_eval_ids_near_the_u32_maximum(tmp_path, capsys):
+    # pred 2**31 against truth (2**32 - 1, 1) exited 0 with F 1.000, because its int64
+    # keys wrapped; the same shape with ids 7 against (9, 1) scores 0.000
+    scores = []
+    for pred, truth in (([2**31] * 2, [2**32 - 1, 1]), ([7, 7], [9, 1])):
+        paths = [write_volume(LabelVolume(np.array([[ids]], dtype=np.uint32)), str(tmp_path / n))
+                 for n, ids in (("pred", pred), ("truth", truth))]
+        rc, out, err = run(capsys, "eval", *paths, "--json-out", str(tmp_path / "s.json"))
+        assert (rc, err) == (0, "")
+        scores.append(json.loads((tmp_path / "s.json").read_text()))
+    assert scores[0] == scores[1]
+    assert [scores[0][k] for k in ("tp", "fp", "fn", "f_score")] == [0, 1, 2, 0.0]
+
+
+U32_IDS = st.sampled_from([0, 1, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def eval_inputs(draw):
+    """Pred, truth and an optional layer mask for ``eval``, each (array, spacing),
+    an array of float32 standing for a scalar payload, plus a ``--background`` list.
+    At most one file of a case has another dims, spacing or payload kind."""
+    dims3 = st.tuples(*[st.integers(1, 3)] * 3)
+    shape = draw(dims3)
+    spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 1.0, 2.0)]))
+    ids = draw(st.lists(U32_IDS, min_size=1, max_size=4))
+    fault = draw(st.sampled_from([None, None, None, "dims", "spacing", "scalar"]))
+    odd = draw(st.sampled_from(["pred", "truth", "mask"]))
+
+    def volume(name, palette, arr=None):
+        mine = fault if name == odd else None
+        dims = draw(dims3) if mine == "dims" else shape
+        if arr is None or arr.shape != dims:
+            arr = np.array(draw(st.lists(st.sampled_from(palette), min_size=math.prod(dims),
+                                         max_size=math.prod(dims))), np.uint32).reshape(dims)
+        kind = np.float32 if mine == "scalar" else np.uint32
+        return arr.astype(kind), (0.5, 0.5, 0.5) if mine == "spacing" else spacing
+
+    truth = volume("truth", ids)
+    pred = volume("pred", ids + draw(st.lists(U32_IDS, max_size=2)))
+    mask = None
+    if draw(st.booleans()):
+        layers = draw(st.lists(st.sampled_from([0, 1, 2, 2**32 - 1]), min_size=1, max_size=3))
+        of = {i: draw(st.sampled_from(layers)) for i in ids}
+        # a scalar truth fails before the mask is read, and its ids need not round-trip
+        per_cell = np.vectorize(lambda i: of.get(i, 0), otypes=[np.uint32])(truth[0].astype(int))
+        # one layer per truth id, or one per voxel, which may split a cell
+        mask = volume("mask", layers, per_cell if draw(st.booleans()) else None)
+    background = draw(st.lists(st.sampled_from(ids) | st.integers(-2, 2**32 + 1), max_size=3))
+    return pred, truth, mask, background
+
+
+def expected_eval_failure(pred, truth, mask, background):
+    """The (stage, exit code) that ``eval`` must fail with, or None."""
+    vols = [v for v in (pred, truth, mask) if v is not None]
+    if any(arr.dtype != np.uint32 for arr, _ in vols):
+        return "data"
+    if any(v[1] != truth[1] for v in vols) or any(v[0].shape != truth[0].shape for v in vols):
+        return "eval"
+    if mask is not None:
+        for cell in np.unique(truth[0]):
+            if cell != 0 and int(cell) not in background:
+                if np.unique(mask[0][truth[0] == cell]).size > 1:
+                    return "eval"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_inputs())
+def test_eval_fuzz_scores_equal_reference_or_fails_with_its_stage(case):
+    # ids over the whole u32 range, mismatched dims and spacings, scalar payloads,
+    # masks that split a cell and --background lists
+    pred, truth, mask, background = case
+    with tempfile.TemporaryDirectory() as root:
+        argv = ["eval"]
+        for name, vol in (("pred", pred), ("truth", truth), ("mask", mask)):
+            if vol is not None:
+                kind = LabelVolume if vol[0].dtype == np.uint32 else ScalarVolume
+                argv += ["--layer-mask"] * (name == "mask") + [
+                    write_volume(kind(vol[0], vol[1]), os.path.join(root, name))]
+        json_out = os.path.join(root, "scores.json")
+        argv += ["--json-out", json_out, f"--background={','.join(map(str, background))}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        failure = expected_eval_failure(pred, truth, mask, frozenset(background))
+        event(f"{'no mask' if mask is None else 'mask'}, {failure or 'scored'}")
+        if failure is not None:
+            assert (rc, out.getvalue()) == (4, "")
+            assert err.getvalue().startswith(f"error [stage {failure}]: "), err.getvalue()
+            return
+        assert (rc, err.getvalue()) == (0, "")
+        with open(json_out) as fh:
+            rows = [json.loads(line) for line in fh]
+    bg = frozenset(background)
+    if mask is None:
+        expect = {"segmentation": match_reference(pred[0], truth[0], bg)}
+    else:
+        expect = {f"segmentation[layer {layer}]": ref
+                  for layer, ref in layer_reference(pred[0], truth[0], mask[0], bg).items()}
+    assert [row["algorithm"] for row in rows] == list(expect)
+    for row, (matches, tp, fp, fn, precision, recall, f) in zip(rows, expect.values()):
+        assert (row["tp"], row["fp"], row["fn"], row["n_matches"]) == (tp, fp, fn, len(matches))
+        assert (row["precision"], row["recall"], row["f_score"]) == (precision, recall, f)
 
 
 def test_eval_bad_background_is_config_failure(phantom, capsys):

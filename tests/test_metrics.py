@@ -229,6 +229,13 @@ def test_layer_mask_dims_must_match():
         )
 
 
+def test_layer_report_checks_pred_dims_with_no_layer_to_score():
+    # a mask of zeros used to return no reports without looking at the pred
+    truth = np.ones((1, 1, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"mismatch: pred \(1, 1, 3\), layer_mask \(1, 1, 2\)"):
+        layer_report(lv(np.ones((1, 1, 3))), lv(truth), lv(np.zeros_like(truth)))
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -253,3 +260,42 @@ def test_report_json_round_trips():
     assert data["tp"] == 1 and data["fp"] == 0 and data["fn"] == 2
     assert data["recall"] == pytest.approx(1 / 3)
     assert data["n_matches"] == 1
+
+
+# ---------------------------------------------------------------------------
+# large label ids
+
+
+def test_ids_near_the_u32_maximum_do_not_wrap():
+    # the int64 key pred * (max truth + 1) + truth wrapped for pred 2**31 against
+    # truth 2**32 - 1, and those voxels were dropped as background: F 1.000
+    big = LabelVolume(np.full((1, 1, 2), 2**31, dtype=np.uint32))
+    truth = LabelVolume(np.array([[[2**32 - 1, 1]]], dtype=np.uint32))
+    small = match_segments(lv([[[7, 7]]]), lv([[[9, 1]]]))
+    r = match_segments(big, truth)
+    assert (r.tp, r.fp, r.fn, r.f_score) == (small.tp, small.fp, small.fn, small.f_score)
+    assert (r.tp, r.fp, r.fn) == (0, 1, 2)
+    # each layer holds one of the cells, which the pred covers alone there
+    reports = layer_report(big, truth, truth)
+    counts = {k: (v.tp, v.fp, v.fn) for k, v in reports.items()}
+    assert counts == dict.fromkeys([1, 2**32 - 1], (1, 0, 0))
+
+
+@pytest.mark.parametrize("score", ["match", "layers"])
+def test_scoring_memory_follows_voxels_not_the_largest_id(score):
+    # one id 2**24 in 8 voxels made tables indexed by id: a 33.6 MB peak in
+    # match_segments and 50.3 MB in layer_report
+    labels = np.arange(1, 9, dtype=np.uint32).reshape(2, 2, 2)
+    labels[1, 1, 1] = 2**24
+    vol = LabelVolume(labels)
+    call = {"match": lambda: match_segments(vol, vol),
+            "layers": lambda: layer_report(vol, vol, vol)}[score]
+    assert peak_bytes_per(call) < 100_000
+
+
+def test_pair_keys_that_would_wrap_are_refused():
+    # u32 ids never wrap; wider library labels that could are an error, not a wrong score
+    pred = LabelVolume(np.array([[[2**40, 1]]], dtype=np.int64))
+    truth = LabelVolume(np.array([[[2**30, 1]]], dtype=np.int64))
+    with pytest.raises(ValueError, match="too large"):
+        match_segments(pred, truth)

@@ -186,6 +186,26 @@ def test_roundtrip_random_every_dtype(tmp_path, dtype):
     np.testing.assert_array_equal(data, arr)
 
 
+@pytest.mark.parametrize("dtype, code", [
+    ("<u1", "u8"), ("<u2", "u16"), ("<f4", "f32"), ("<f8", "f32"), ("=u2", "u16"),
+    ("<u4", None), ("<i2", None), (">u2", None), ("bool", None), ("<f2", None),
+])
+def test_write_scalar_dtype_codes(tmp_path, dtype, code):
+    # u32 belongs to label volumes; a scalar payload of another dtype has no code
+    vol = ScalarVolume(np.ones((1, 2, 3), dtype=dtype))
+    if code is None:
+        with pytest.raises(VolumeFormatError, match="no MVOL dtype for array dtype"):
+            write_volume(vol, str(tmp_path / "s"))
+        assert not list(tmp_path.iterdir())
+        return
+    header = json.loads(open(write_volume(vol, str(tmp_path / "s"))).read())
+    assert header["dtype"] == code
+    np.testing.assert_array_equal(read_volume(str(tmp_path / "s")).data, vol.data)
+    # a label volume is u32 whatever its integer dtype
+    labels = LabelVolume(np.ones((1, 2, 3), dtype=np.int64))
+    assert json.loads(open(write_volume(labels, str(tmp_path / "l"))).read())["dtype"] == "u32"
+
+
 def test_write_to_directory_errors(tmp_path):
     (tmp_path / "d.mvol.json").mkdir()
     v = ScalarVolume(np.zeros((1, 1, 1)))
