@@ -218,18 +218,18 @@ def init_model(
     fc_units: int = 1024,
     kernel_size: int = 5,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> CnnModel:
     """He fan-in normal initialization for weights, zeros for biases, drawn in PARAM_ORDER."""
-    model, draw_rest = _init_model(input_size, seed, rng, conv_channels, fc_units, kernel_size)
+    model, draw_rest = _init_model(input_size, seed, np.random.default_rng(seed),
+                                   conv_channels, fc_units, kernel_size)
     draw_rest()
     return model
 
 
 def _init_model(input_size, seed, rng, conv_channels=(32, 64), fc_units=1024, kernel_size=5):
-    """:func:`init_model`'s model with its conv weights drawn, and the call drawing the rest into
-    it: ``standard_normal`` in place, times the scale, plus 0.0, is ``normal(0.0, scale)``."""
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    """:func:`init_model`'s model from ``rng`` with its conv weights drawn, and the call drawing
+    the rest into it: ``standard_normal`` in place, times the scale, plus 0.0, is
+    ``normal(0.0, scale)``."""
     shapes = expected_shapes(input_size, conv_channels, fc_units, kernel_size)
     params = {name: np.zeros(shape) for name, shape in shapes.items()}
 
@@ -344,6 +344,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -417,20 +419,15 @@ def mean_cross_entropy(model: CnnModel, x: np.ndarray, classes: np.ndarray, besi
     return cross_entropy(_head(p, rows, None)[0], classes)[0]
 
 
-def train(
-    x: np.ndarray,
-    classes: np.ndarray,
-    config: TrainConfig,
-    model: CnnModel | None = None,
-):
+def train(x: np.ndarray, classes: np.ndarray, config: TrainConfig):
     """Mini-batch ADAM on mean cross-entropy; returns (model, loss trace).
 
     The trace holds the dropout-off full-set loss before training and
     after each epoch, so ``trace[0]`` is the untrained loss. Requires at
-    least one example of every class. Without ``model``, a new one is
-    built for the patches' edge, ``x.shape[1]``, its fc1 and output weights
-    drawn as the ``beside`` item of ``trace[0]``'s :func:`mean_cross_entropy`,
-    whose conv stack needs none of them.
+    least one example of every class. The model is built for the patches'
+    edge, ``x.shape[1]``, from the generator training then draws from, its fc1
+    and output weights drawn as the ``beside`` item of ``trace[0]``'s
+    :func:`mean_cross_entropy`, whose conv stack needs none of them.
     """
     x = np.asarray(x, dtype=np.float64)
     classes = np.asarray(classes, dtype=np.int64)
@@ -439,7 +436,7 @@ def train(
         raise DatasetError(f"need >= 1 example of each of {N_CLASSES} classes, got counts {counts}")
 
     rng, n = np.random.default_rng(config.seed), len(classes)
-    model, draw_rest = (model, None) if model else _init_model(x.shape[1], config.seed, rng)
+    model, draw_rest = _init_model(x.shape[1], config.seed, rng)
     trace = [mean_cross_entropy(model, x, classes, draw_rest)]
     state = AdamState()
     for _ in range(config.epochs):

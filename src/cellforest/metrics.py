@@ -86,7 +86,8 @@ def layer_report(pred: LabelVolume, truth: LabelVolume, layer_mask: LabelVolume,
     only within the layer.
 
     ``layer_mask`` must paint each foreground truth cell with a single
-    layer id, else ValueError; id 0 means unassigned and is never scored.
+    layer id, else ValueError, as is a mask of 0s only; id 0 means unassigned
+    and is never scored.
     """
     if not pred.labels.shape == layer_mask.labels.shape == truth.labels.shape:
         raise ValueError(f"dims mismatch: pred {pred.labels.shape}, layer_mask "
@@ -98,6 +99,8 @@ def layer_report(pred: LabelVolume, truth: LabelVolume, layer_mask: LabelVolume,
     if split.size:
         raise ValueError(f"layer_mask gives truth cell {split[0]} more than one layer id")
     others = {n: frozenset(cells[layers != n].tolist()) for n in np.unique(layer) if n != 0}
+    if not others:
+        raise ValueError("layer_mask names no layer: every id is 0")
     return {int(n): match_segments(pred, truth, background_truth_labels | others[n])
             for n in others}
 

@@ -34,6 +34,9 @@ from .volume import (
 _MAX_REJECTS = 10_000
 # Edge, in voxels, of the cubic blocks that _voronoi_labels labels one at a time.
 _BLOCK = 16
+# Rendered intensity of wall voxels and of cell interiors, before attenuation, blur and noise.
+MEMBRANE_INTENSITY = 0.9
+INTERIOR_INTENSITY = 0.15
 
 
 @dataclass
@@ -44,8 +47,6 @@ class PhantomParams:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     n_cells: int = 30
     membrane_width: int = 1
-    membrane_intensity: float = 0.9
-    interior_intensity: float = 0.15
     attenuation: float = 1.0
     noise_sigma: float = 0.0
     blur_sigma: float = 0.0
@@ -62,14 +63,14 @@ class PhantomParams:
             raise ValueError(
                 f"cannot place {self.n_cells} cells in {nx * ny * nz} voxels"
             )
-        if not 0.0 <= self.interior_intensity < self.membrane_intensity <= 1.0:
-            raise ValueError("need 0 <= interior_intensity < membrane_intensity <= 1")
         if not 0.0 < self.attenuation <= 1.0:
             raise ValueError("attenuation must be in (0, 1]")
         if self.membrane_width < 1:
             raise ValueError("membrane_width must be >= 1")
         if self.noise_sigma < 0 or self.blur_sigma < 0:
             raise ValueError("noise_sigma and blur_sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _place_sites(params: PhantomParams, rng: np.random.Generator) -> np.ndarray:
@@ -150,7 +151,7 @@ def generate_phantom(params: PhantomParams) -> tuple[ScalarVolume, LabelVolume]:
     labels = _voronoi_labels(sites, params)
 
     mem = membrane_mask(labels, params.membrane_width)
-    img = np.where(mem, params.membrane_intensity, params.interior_intensity)
+    img = np.where(mem, MEMBRANE_INTENSITY, INTERIOR_INTENSITY)
     if params.attenuation < 1.0:
         nz = img.shape[0]
         img *= params.attenuation ** np.arange(nz, dtype=np.float64)[:, None, None]

@@ -275,8 +275,6 @@ LADDER_PHANTOM = dict(
     dims=(64, 64, 64),
     n_cells=25,
     membrane_width=2,
-    membrane_intensity=0.9,
-    interior_intensity=0.15,
     attenuation=0.99,
     noise_sigma=0.05,
     blur_sigma=0.6,

@@ -174,6 +174,15 @@ def test_bad_phantom_spacing_is_config_failure(tmp_path, capsys, spacing):
     assert not list(tmp_path.iterdir())
 
 
+def test_synth_negative_seed_is_config_failure(tmp_path, capsys):
+    # used to exit 4 in stage synth with numpy's "expected non-negative integer"
+    rc, out, err = run(capsys, "synth", "--output-prefix", str(tmp_path / "p"),
+                       "--dims", "8", "--n-cells", "2", "--seed", "-1")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error [stage config]: seed must be >= 0, got -1")
+    assert not list(tmp_path.iterdir())
+
+
 # sha256 over the names and bytes of a ``synth --patches-dir`` directory
 # (seed 2), recorded when the patch cutter rendered its own phantom.
 PATCH_DIR_SHA256 = "2d435e71e8c8052c6ae9cdc15c42820a4ad7e25b2024e7ab3dcc6f458e082277"
@@ -1552,6 +1561,19 @@ def test_eval_spacing_mismatch_is_eval_error(phantom, tmp_path, capsys, pair):
     assert out == ""
 
 
+def test_eval_layer_mask_of_zeros_is_eval_error(phantom, tmp_path, capsys):
+    # used to print a table header with no rows, exit 0 and write an empty --json-out
+    truth = read_volume(f"{phantom}.truth.mvol.json")
+    mask = write_volume(LabelVolume(np.zeros_like(truth.labels), truth.spacing),
+                        str(tmp_path / "zeros"))
+    json_out = tmp_path / "scores.json"
+    rc, out, err = run(capsys, "eval", f"{phantom}.truth.mvol.json", f"{phantom}.truth.mvol.json",
+                       "--layer-mask", mask, "--json-out", str(json_out))
+    assert (rc, out) == (4, "")
+    assert err.startswith("error [stage eval]: layer_mask names no layer")
+    assert not json_out.exists()
+
+
 def test_eval_ids_near_the_u32_maximum(tmp_path, capsys):
     # pred 2**31 against truth (2**32 - 1, 1) exited 0 with F 1.000, because its int64
     # keys wrapped; the same shape with ids 7 against (9, 1) scores 0.000
@@ -1616,6 +1638,8 @@ def expected_eval_failure(pred, truth, mask, background):
             if cell != 0 and int(cell) not in background:
                 if np.unique(mask[0][truth[0] == cell]).size > 1:
                     return "eval"
+        if not mask[0].any():
+            return "eval"
     return None
 
 
@@ -1736,6 +1760,7 @@ def test_train_writes_model_and_loss_trace(patch_dir, tmp_path, capsys):
         ("--learning-rate", "0"),
         ("--learning-rate", "nan"),
         ("--learning-rate", "inf"),
+        ("--seed", "-3"),  # read the whole dataset, then exited 4 in stage train
     ],
 )
 def test_train_bad_setting_is_config_error(patch_dir, tmp_path, capsys, flag, value):
@@ -1745,6 +1770,7 @@ def test_train_bad_setting_is_config_error(patch_dir, tmp_path, capsys, flag, va
     )
     assert rc == 2
     assert err.startswith("error [stage config]:")
+    assert flag[2:].replace("-", "_") in err
     assert not model_out.exists()
 
 

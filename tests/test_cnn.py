@@ -346,11 +346,14 @@ def test_init_model_bits_and_generator_state_equal_normal_draws(size, seed):
     # standard_normal drawn in place, times the scale, plus 0.0, is normal's loc + scale * z
     rng = np.random.default_rng(seed)
     want = digests(init_model_reference(expected_shapes(size, (32, 64), 1024), rng))
-    got_rng = np.random.default_rng(seed)
-    got = digests(init_model(input_size=size, seed=seed, rng=got_rng).params)
+    got = digests(init_model(input_size=size, seed=seed).params)
     assert list(got) == list(PARAM_ORDER) and got == want
+    # train's route: the model drawn from the generator that training goes on drawing from
+    got_rng = np.random.default_rng(seed)
+    model, draw_rest = cnn_module._init_model(size, seed, got_rng)
+    draw_rest()
+    assert digests(model.params) == want
     assert got_rng.bit_generator.state == rng.bit_generator.state
-    assert digests(init_model(input_size=size, seed=seed).params) == want
 
 
 def test_zero_weights_give_uniform_probabilities():
@@ -684,20 +687,10 @@ def test_train_config_accepts_optimizer_edges():
     TrainConfig(learning_rate=10.0)
 
 
-def test_train_peak_memory_beyond_the_model():
-    # params, ADAM's m and v, plus activations; the fc1 weight gradient
-    # is never formed whole (the dense-gradient loop peaked at about 4.2)
-    model = init_model(seed=0)
-    param_bytes = sum(p.nbytes for p in model.params.values())
-    x = np.random.default_rng(21).random((3, 32, 32, 32))
-    config = TrainConfig(batch_size=2, epochs=1, seed=0)
-    ratio = peak_bytes_per(lambda: train(x, np.array([0, 1, 2]), config, model=model), param_bytes)
-    assert ratio < 2.5, f"train peak {ratio:.2f} x parameter bytes"
-
-
 def test_train_peak_memory_without_a_model(cpus):
-    # the new model's own bytes, then as above: the fc1 and output weights drawn beside
-    # the untrained pass keep no whole-set activations alive
+    # beyond the new model's own bytes: ADAM's m and v plus activations, with the fc1
+    # weight gradient never formed whole; the fc1 and output weights drawn beside the
+    # untrained pass keep no whole-set activations alive
     cpus(2)
     param_bytes = 8 * sum(map(math.prod, expected_shapes(32, (32, 64), 1024).values()))
     x = np.random.default_rng(21).random((3, 32, 32, 32))

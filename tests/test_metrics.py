@@ -236,6 +236,13 @@ def test_layer_report_checks_pred_dims_with_no_layer_to_score():
         layer_report(lv(np.ones((1, 1, 3))), lv(truth), lv(np.zeros_like(truth)))
 
 
+def test_layer_mask_of_zeros_names_no_layer():
+    # used to return no reports, which eval printed as a table with no rows
+    truth = np.array([[[1, 1, 2, 2]]])
+    with pytest.raises(ValueError, match="names no layer"):
+        layer_report(lv(truth), lv(truth), lv(np.zeros_like(truth)))
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 

@@ -11,6 +11,8 @@ from scipy import ndimage as ndi
 from cellforest.classify import Patch
 from cellforest.cnn import DatasetError
 from cellforest.phantom import (
+    INTERIOR_INTENSITY,
+    MEMBRANE_INTENSITY,
     PhantomParams,
     _place_sites,
     _touching_pairs,
@@ -52,8 +54,6 @@ def test_params_validation():
         PhantomParams(dims=(2, 2, 2), n_cells=9)
     with pytest.raises(ValueError):
         PhantomParams(n_cells=0)
-    with pytest.raises(ValueError):
-        PhantomParams(membrane_intensity=0.2, interior_intensity=0.5)
     with pytest.raises(ValueError):
         PhantomParams(attenuation=0.0)
     with pytest.raises(ValueError):
@@ -296,8 +296,8 @@ def test_single_cell_phantom_is_wall_at_border_only():
     v, gt = generate_phantom(params)
     assert np.all(gt.labels == 1)
     interior = v.data[1:-1, 1:-1, 1:-1]
-    assert np.all(interior == params.interior_intensity)
-    assert np.all(v.data[0] == params.membrane_intensity)
+    assert np.all(interior == INTERIOR_INTENSITY)
+    assert np.all(v.data[0] == MEMBRANE_INTENSITY)
 
 
 def test_attenuation_scales_slices_exponentially():

@@ -39,7 +39,10 @@ def test_readme_library_example_matches_cli(tmp_path, monkeypatch):
 
 
 def test_every_exported_name_resolves():
-    # segment loads lazily through the package's __getattr__
+    # the package exports what the library example imports, and segment loads
+    # lazily through the package's __getattr__
+    imported = re.search(r"^from cellforest import (.+)$", library_example(), re.MULTILINE)
+    assert sorted(cellforest.__all__) == sorted([*imported.group(1).split(", "), "__version__"])
     missing = [name for name in cellforest.__all__ if not hasattr(cellforest, name)]
     assert missing == []
 
